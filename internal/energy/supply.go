@@ -1,6 +1,10 @@
 package energy
 
-import "math"
+import (
+	"math"
+
+	"whatsnext/internal/cpu"
+)
 
 // DeviceConfig describes the electrical parameters of the simulated device.
 type DeviceConfig struct {
@@ -63,6 +67,11 @@ type Supply struct {
 	Outages       uint64 // number of brown-outs observed
 	EnergyDrawn   float64
 	EnergyCharged float64
+
+	// Harvest-sample cache (see harvestAt): hp is the harvested power for
+	// every total-cycle count from the last lookup up to sampleHi.
+	hp       float64
+	sampleHi uint64
 }
 
 // NewSupply builds a supply from a device config and a harvest trace. The
@@ -105,21 +114,118 @@ func (s *Supply) Now() float64 {
 // TotalCycles returns elapsed wall-clock time in cycle units (on + off).
 func (s *Supply) TotalCycles() uint64 { return s.CyclesOn + s.CyclesOff }
 
-// harvestPower returns the harvested power at the current simulated time,
-// wrapping the trace.
-func (s *Supply) harvestPower() float64 {
-	if s.trace == nil || len(s.trace.Power) == 0 {
-		return 0
+// harvestAt returns the harvested power at total-cycle count t: the trace
+// sample uint64(Now()*SampleHz), wrapping the trace, times HarvestEff. A
+// sample spans ClockHz/SampleHz cycles (24 000 at the defaults), so the
+// supply caches it until the cycle count at which the sample changes, and
+// a lookup inside a sample is a single compare. Only the Supply's own
+// methods advance the cycle counters, and never backwards, so the cache
+// needs no start.
+func (s *Supply) harvestAt(t uint64) float64 {
+	if t >= s.sampleHi {
+		s.loadSample(t)
 	}
-	idx := uint64(s.Now() * s.trace.SampleHz)
-	return s.trace.Power[idx%uint64(len(s.trace.Power))] * s.cfg.HarvestEff
+	return s.hp
+}
+
+// loadSample fills the harvest-sample cache for total-cycle count t.
+func (s *Supply) loadSample(t uint64) {
+	if s.trace == nil || len(s.trace.Power) == 0 {
+		s.hp, s.sampleHi = 0, math.MaxUint64
+		return
+	}
+	idx := s.sampleIndex(t)
+	s.hp = s.trace.Power[idx%uint64(len(s.trace.Power))] * s.cfg.HarvestEff
+	s.sampleHi = s.nextSample(t, idx)
+}
+
+// sampleIndex is the unwrapped trace sample in effect at total-cycle count
+// t, computed exactly as uint64(Now()*SampleHz).
+func (s *Supply) sampleIndex(t uint64) uint64 {
+	return uint64(float64(t) * s.cycleSec * s.trace.SampleHz)
+}
+
+// nextSample returns the first cycle count after t whose sample index is
+// not idx, where idx = sampleIndex(t). sampleIndex is monotone in t: the
+// integer-to-float conversion, the multiplications by positive constants
+// and the truncation each preserve order. So a short walk from the
+// real-valued estimate finds the boundary exactly. Where no estimate is
+// usable (a degenerate clock or sample rate) it returns t+1, which caches
+// nothing and stays exact.
+func (s *Supply) nextSample(t, idx uint64) uint64 {
+	est := float64(idx+1) / s.trace.SampleHz / s.cycleSec
+	if !(est >= 0 && est < 1<<62) {
+		return t + 1
+	}
+	b := max(uint64(est), t+1)
+	for range 64 {
+		switch {
+		case s.sampleIndex(b) == idx:
+			b++
+		case b-1 > t && s.sampleIndex(b-1) != idx:
+			b--
+		default:
+			return b
+		}
+	}
+	return t + 1
+}
+
+// Overhead is runtime work charged on top of one instruction's own cost,
+// such as a checkpoint or a restore.
+type Overhead struct {
+	Cycles uint32
+	Energy float64
+}
+
+// meter is the part of a Supply that one Spend updates. Spend and SpendRun
+// both advance it through spend, so a run spent by SpendRun evaluates the
+// very same float expressions, in the same order, as one Spend per cost.
+type meter struct {
+	energy, drawn, charged float64
+	cyclesOn               uint64
+}
+
+func (s *Supply) meter() meter {
+	return meter{s.energy, s.EnergyDrawn, s.EnergyCharged, s.CyclesOn}
+}
+
+func (s *Supply) setMeter(m meter) {
+	s.energy, s.EnergyDrawn, s.EnergyCharged, s.CyclesOn = m.energy, m.drawn, m.charged, m.cyclesOn
+}
+
+// spend runs cycles of execution at harvest power hp, drawing
+// cycles*EnergyPerCycle+extra joules. Plain compares stand in for math.Min:
+// stored energy is never NaN or -0, so they select the same value.
+func (s *Supply) spend(m meter, hp float64, cycles uint32, extra float64) meter {
+	in := hp * float64(cycles) * s.cycleSec
+	m.charged += in
+	if m.energy += in; m.energy > s.maxE {
+		m.energy = s.maxE
+	}
+	draw := float64(cycles)*s.cfg.EnergyPerCycle + extra
+	m.drawn += draw
+	m.energy -= draw
+	m.cyclesOn += uint64(cycles)
+	return m
+}
+
+// brownOut powers the device down after a Spend crossed VOff.
+func (s *Supply) brownOut() {
+	if s.energy < 0 {
+		s.energy = 0
+	}
+	s.powered = false
+	s.Outages++
 }
 
 // charge adds harvested energy for n cycles of elapsed time.
 func (s *Supply) charge(n uint64) {
-	in := s.harvestPower() * float64(n) * s.cycleSec
+	in := s.harvestAt(s.TotalCycles()) * float64(n) * s.cycleSec
 	s.EnergyCharged += in
-	s.energy = math.Min(s.maxE, s.energy+in)
+	if s.energy += in; s.energy > s.maxE {
+		s.energy = s.maxE
+	}
 }
 
 // Spend advances simulated time by cycles of execution, drawing
@@ -130,36 +236,82 @@ func (s *Supply) Spend(cycles uint32, extra float64) bool {
 	if !s.powered {
 		return false
 	}
-	s.charge(uint64(cycles))
-	draw := float64(cycles)*s.cfg.EnergyPerCycle + extra
-	s.EnergyDrawn += draw
-	s.energy -= draw
-	s.CyclesOn += uint64(cycles)
-	if s.energy <= s.offE {
-		s.energy = math.Max(s.energy, 0)
-		s.powered = false
-		s.Outages++
+	m := s.spend(s.meter(), s.harvestAt(s.TotalCycles()), cycles, extra)
+	s.setMeter(m)
+	if m.energy <= s.offE {
+		s.brownOut()
 		return false
 	}
 	return true
 }
 
+// SpendRun spends a run of instruction costs in order, stopping at the
+// first brown-out. Each cost c is charged exactly as
+//
+//	Spend(c.Cycles+ov.Cycles, float64(c.NVWrites)*NVWriteEnergy+(float64(c.Cycles)*backup*EnergyPerCycle+ov.Energy))
+//
+// would charge it, where ov is first on costs[0], last on the final cost
+// (first, then last, when they coincide) and zero elsewhere. backup is a
+// per-cycle surcharge factor. SpendRun returns how many costs it spent and
+// whether the device is still powered; a brown-out always falls on
+// costs[n-1]. The state Spend would keep in fields lives in locals for the
+// run, and the harvest sample is re-read only when a run crosses a sample
+// boundary.
+func (s *Supply) SpendRun(costs []cpu.Cost, backup float64, first, last Overhead) (n int, ok bool) {
+	if !s.powered {
+		return 0, false
+	}
+	var (
+		m    = s.meter()
+		epc  = s.cfg.EnergyPerCycle
+		nvwE = s.cfg.NVWriteEnergy
+		t    = m.cyclesOn + s.CyclesOff
+		hp   = s.harvestAt(t)
+		hi   = s.sampleHi
+		end  = len(costs) - 1
+	)
+	for i, c := range costs {
+		if t >= hi {
+			hp, hi = s.harvestAt(t), s.sampleHi
+		}
+		cycles, ee := c.Cycles, float64(c.Cycles)*backup*epc
+		if i == 0 {
+			cycles += first.Cycles
+			ee += first.Energy
+		}
+		if i == end {
+			cycles += last.Cycles
+			ee += last.Energy
+		}
+		m = s.spend(m, hp, cycles, float64(c.NVWrites)*nvwE+ee)
+		t += uint64(cycles)
+		if m.energy <= s.offE {
+			s.setMeter(m)
+			s.brownOut()
+			return i + 1, false
+		}
+	}
+	s.setMeter(m)
+	return len(costs), true
+}
+
 // WaitForPower advances simulated time until the capacitor recharges to VOn,
 // returning the number of cycles spent off. With a zero-power trace it gives
-// up after the equivalent of ten trace durations and returns false.
+// up after the equivalent of ten trace durations and returns false; with no
+// trace samples at all nothing can ever charge, so it returns false at once.
 func (s *Supply) WaitForPower() (waited uint64, ok bool) {
 	if s.powered {
 		return 0, true
+	}
+	if s.trace == nil || len(s.trace.Power) == 0 {
+		return 0, false
 	}
 	// Step at one trace-sample granularity for fidelity to the 1 kHz trace.
 	step := uint64(s.cfg.ClockHz / s.trace.SampleHz)
 	if step == 0 {
 		step = 1
 	}
-	var limit uint64 = math.MaxUint64
-	if s.trace != nil && len(s.trace.Power) > 0 {
-		limit = uint64(10*s.trace.Duration()*s.cfg.ClockHz) + s.TotalCycles()
-	}
+	limit := uint64(10*s.trace.Duration()*s.cfg.ClockHz) + s.TotalCycles()
 	for s.energy < s.onE {
 		s.charge(step)
 		s.CyclesOff += step

@@ -132,7 +132,10 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV. The sample rate is inferred
-// from the first two timestamps.
+// from the first two timestamps. Timestamps must be finite and power
+// finite and non-negative: a NaN sample would keep the capacitor from ever
+// crossing V_off, so the device would silently never brown out. Errors
+// name the offending row, counting the header as row 1.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -143,25 +146,34 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("energy: trace CSV needs a header and at least two samples")
 	}
 	rows = rows[1:] // drop header
-	t0, err := strconv.ParseFloat(rows[0][0], 64)
-	if err != nil {
-		return nil, fmt.Errorf("energy: bad timestamp %q: %v", rows[0][0], err)
+	var ts [2]float64
+	for i := range ts {
+		ts[i], err = strconv.ParseFloat(rows[i][0], 64)
+		if err != nil {
+			return nil, fmt.Errorf("energy: row %d: bad timestamp %q: %v", i+2, rows[i][0], err)
+		}
+		if math.IsNaN(ts[i]) || math.IsInf(ts[i], 0) {
+			return nil, fmt.Errorf("energy: row %d: timestamp %v is not finite", i+2, ts[i])
+		}
 	}
-	t1, err := strconv.ParseFloat(rows[1][0], 64)
-	if err != nil {
-		return nil, fmt.Errorf("energy: bad timestamp %q: %v", rows[1][0], err)
-	}
-	if t1 <= t0 {
+	if ts[1] <= ts[0] {
 		return nil, fmt.Errorf("energy: non-increasing timestamps in trace")
 	}
-	tr := &Trace{SampleHz: 1 / (t1 - t0)}
+	hz := 1 / (ts[1] - ts[0])
+	if math.IsInf(hz, 0) {
+		return nil, fmt.Errorf("energy: rows 2-3: sample period %v is too short", ts[1]-ts[0])
+	}
+	tr := &Trace{SampleHz: hz}
 	for i, row := range rows {
 		if len(row) < 2 {
 			return nil, fmt.Errorf("energy: row %d is short", i+2)
 		}
 		p, err := strconv.ParseFloat(row[1], 64)
 		if err != nil {
-			return nil, fmt.Errorf("energy: bad power %q: %v", row[1], err)
+			return nil, fmt.Errorf("energy: row %d: bad power %q: %v", i+2, row[1], err)
+		}
+		if !(p >= 0) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("energy: row %d: power %v is not a finite non-negative wattage", i+2, p)
 		}
 		tr.Power = append(tr.Power, p)
 	}

@@ -92,6 +92,13 @@ func TestReadCSVMalformed(t *testing.T) {
 		{"equal timestamps", "time_s,power_w\n0.001,1e-4\n0.001,1e-4\n", "non-increasing"},
 		{"decreasing timestamps", "time_s,power_w\n0.002,1e-4\n0.001,1e-4\n", "non-increasing"},
 		{"bad power", "time_s,power_w\n0,1e-4\n0.001,oops\n", "bad power"},
+		{"NaN power", "time_s,power_w\n0,1e-4\n0.001,NaN\n", "row 3: power NaN"},
+		{"infinite power", "time_s,power_w\n0,1e-4\n0.001,1e-4\n0.002,+Inf\n", "row 4: power +Inf"},
+		{"negative infinite power", "time_s,power_w\n0,-Inf\n0.001,1e-4\n", "row 2: power -Inf"},
+		{"negative power", "time_s,power_w\n0,1e-4\n0.001,-2e-4\n", "row 3: power -0.0002"},
+		{"NaN timestamp", "time_s,power_w\n0,1e-4\nNaN,1e-4\n", "row 3: timestamp NaN"},
+		{"infinite timestamp", "time_s,power_w\nInf,1e-4\n0.001,1e-4\n", "row 2: timestamp +Inf"},
+		{"subnormal period", "time_s,power_w\n0,1e-4\n5e-324,1e-4\n", "too short"},
 		// A one-column header relaxes the csv reader's field-count check, so
 		// this reaches ReadCSV's own short-row guard.
 		{"short row", "time_s\n0\n0.001\n", "is short"},

@@ -84,14 +84,14 @@ func TestBatchedContinuousMatchesReference(t *testing.T) {
 }
 
 // TestBatchedIntermittentMatchesReference is the end-to-end differential
-// under power failures: every Table I kernel runs on both processor types
-// (Clank checkpointing and NVP backup-every-cycle) over a seeded harvest
-// trace, once with the runner's per-instruction reference loop and once with
-// the batched loop. The Result structs — cycles on and off, instructions,
-// outages, checkpoints, energy drawn — and the final data memory must match
-// exactly.
+// under power failures: every Table I kernel runs on all three processor
+// types (Clank checkpointing, NVP backup-every-cycle and the undo log) over
+// a seeded harvest trace, once with the runner's per-instruction reference
+// loop and once with the batched loop. The Result structs — cycles on and
+// off, instructions, outages, checkpoints, energy drawn — and the final
+// data memory must match exactly.
 func TestBatchedIntermittentMatchesReference(t *testing.T) {
-	procs := []core.Processor{core.ProcClank, core.ProcNVP}
+	procs := []core.Processor{core.ProcClank, core.ProcNVP, core.ProcUndoLog}
 	for _, b := range workloads.All() {
 		for _, proc := range procs {
 			t.Run(b.Name+"/"+proc.String(), func(t *testing.T) {

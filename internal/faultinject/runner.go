@@ -132,19 +132,17 @@ func (d *device) forkOnto(m *mem.Memory) (*device, bool) {
 // mirrors the batched executor in internal/intermittent: windows are
 // bounded by the policy's horizon so overhead charges (watchdog
 // checkpoints) land on the exact instruction the reference path would
-// pick, and NV-data stores are routed through Step so BeforeStore hooks
-// (Clank's violation checkpoints, the undo log) retain full fidelity.
+// pick, the policy advances once per window through BatchWindow, and
+// NV-data stores are routed through Step so BeforeStore hooks (Clank's
+// violation checkpoints, the undo log) retain full fidelity.
 func (d *device) runTo(stop, budget uint64, collect *[]cpu.Cost) error {
-	var (
-		forceStep bool
-		costs     []cpu.Cost
-	)
+	var forceStep bool
 	stepOnce := func() error {
 		cost, err := d.c.Step()
 		if err != nil {
 			return err
 		}
-		d.policy.AfterStep(cost)
+		d.policy.BatchWindow(uint64(cost.Cycles))
 		d.cycles += uint64(cost.Cycles)
 		d.instrs++
 		if collect != nil {
@@ -185,14 +183,8 @@ func (d *device) runTo(stop, budget uint64, collect *[]cpu.Cost) error {
 				win = left
 			}
 		}
-		costs = costs[:0]
-		res, err := d.c.Run(win, &costs)
-		for _, cost := range costs {
-			d.policy.AfterStep(cost)
-		}
-		if collect != nil {
-			*collect = append(*collect, costs...)
-		}
+		res, err := d.c.Run(win, collect)
+		d.policy.BatchWindow(res.Cycles)
 		d.cycles += res.Cycles
 		d.instrs += res.Instructions
 		if err != nil {

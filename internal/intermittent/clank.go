@@ -2,6 +2,7 @@ package intermittent
 
 import (
 	"whatsnext/internal/cpu"
+	"whatsnext/internal/energy"
 	"whatsnext/internal/isa"
 )
 
@@ -95,6 +96,18 @@ func (c *Clank) BatchHorizon() (uint64, float64) {
 		return 0, 0
 	}
 	return c.cfg.WatchdogCycles - c.sinceCheckpoint, 0
+}
+
+// BatchWindow implements Policy: the watchdog advances by the whole window.
+func (c *Clank) BatchWindow(cycles uint64) (first, last energy.Overhead) {
+	first = takeOverhead(&c.pendingOverheadC, &c.pendingOverheadE)
+	c.sinceCheckpoint += cycles
+	if c.sinceCheckpoint >= c.cfg.WatchdogCycles {
+		c.takeCheckpoint()
+		c.WatchdogCheckpoints++
+		last = takeOverhead(&c.pendingOverheadC, &c.pendingOverheadE)
+	}
+	return first, last
 }
 
 // AfterStep implements Policy: it applies the watchdog and surfaces any

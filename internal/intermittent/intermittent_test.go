@@ -1,6 +1,8 @@
 package intermittent
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -209,17 +211,8 @@ func TestSkimRedirectsRestore(t *testing.T) {
 func TestWatchdogCheckpoints(t *testing.T) {
 	// A long pure-compute loop (no NV writes) only checkpoints via the
 	// watchdog.
-	src := `
-		MOVI R0, #0
-		MOVTI R1, #1      ; 65536 iterations
-	loop:
-		ADDI R0, R0, #1
-		SUBIS R1, R1, #1
-		BNE loop
-		HALT
-	`
 	cl := NewClank(DefaultClankConfig())
-	r := buildDevice(t, src, cl, ample())
+	r := buildDevice(t, watchdogProgram, cl, ample())
 	if _, err := r.RunToHalt(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,5 +399,154 @@ func TestUndoLogLogsOncePerWordPerInterval(t *testing.T) {
 	}
 	if ul.LoggedWords != 1 {
 		t.Fatalf("logged %d words, want 1 (dedup within the interval)", ul.LoggedWords)
+	}
+}
+
+// policyMakers builds each of the five runtimes with its default config.
+var policyMakers = map[string]func() Policy{
+	"clank":   func() Policy { return NewClank(DefaultClankConfig()) },
+	"nvp":     func() Policy { return NewNVP(DefaultNVPConfig()) },
+	"undolog": func() Policy { return NewUndoLog(DefaultUndoLogConfig()) },
+	"naive":   func() Policy { return NewNaive(DefaultNaiveConfig()) },
+	"restart": func() Policy { return NewRestart(DefaultRestartConfig()) },
+}
+
+// watchdogProgram is a pure-compute loop with no NV writes: only the
+// watchdog checkpoints it, and many batched windows end exactly on the
+// watchdog boundary.
+const watchdogProgram = `
+	MOVI R0, #0
+	MOVTI R1, #1      ; 65536 iterations
+loop:
+	ADDI R0, R0, #1
+	SUBIS R1, R1, #1
+	BNE loop
+	HALT
+`
+
+// TestBatchedMatchesReference pins the window-granular replay of
+// runBatched to the per-instruction reference loop for every policy, under
+// weak() and a Wi-Fi trace whose harvest power changes from sample to
+// sample: the same Result, error, supply totals and data memory. Both
+// programs outlast one charge, so Restart never completes and both loops
+// must stop at the same instruction with ErrCycleBudget. Naive re-executes
+// accumProgram's read-modify-writes against overwritten values, which both
+// loops must reproduce identically too. In the "hooked-store-first" case
+// R0 already points at NV data, so the first batched window stops before
+// executing anything while the initial checkpoint's overhead is pending.
+func TestBatchedMatchesReference(t *testing.T) {
+	traces := map[string]func() *energy.Trace{
+		"weak": weak,
+		"wifi": func() *energy.Trace { return energy.SyntheticWiFiTrace(2, energy.DefaultTraceConfig()) },
+	}
+	programs := map[string]struct {
+		src   string
+		setup func(*cpu.CPU)
+	}{
+		"accum":              {accumProgram, func(*cpu.CPU) {}},
+		"watchdog":           {watchdogProgram, func(*cpu.CPU) {}},
+		"hooked-store-first": {"STR R1, [R0, #0]\n" + accumProgram, func(c *cpu.CPU) { c.Regs[isa.R0] = mem.DataBase }},
+	}
+	for progName, prog := range programs {
+		for trName, mkTrace := range traces {
+			for name, mk := range policyMakers {
+				t.Run(progName+"/"+trName+"/"+name, func(t *testing.T) {
+					testBatchedMatchesReference(t, name, prog.src, prog.setup, mk, mkTrace)
+				})
+			}
+		}
+	}
+}
+
+func testBatchedMatchesReference(t *testing.T, name, src string, setup func(*cpu.CPU), mk func() Policy, mkTrace func() *energy.Trace) {
+	type outcome struct {
+		res              Result
+		err              error
+		drawn, charged   float64
+		voltage          float64
+		cyclesOn, instrs uint64
+		data             []byte
+	}
+	run := func(reference bool) outcome {
+		r := buildDevice(t, src, mk(), mkTrace())
+		setup(r.CPU)
+		r.Reference = reference
+		r.MaxCycles = 2_000_000
+		res, err := r.RunToHalt()
+		data := make([]byte, 64*4)
+		if rerr := r.Mem.ReadData(mem.DataBase, data); rerr != nil {
+			t.Fatal(rerr)
+		}
+		return outcome{res, err, r.Supply.EnergyDrawn, r.Supply.EnergyCharged,
+			r.Supply.Voltage(), r.Supply.CyclesOn, r.CPU.Stats.Instructions, data}
+	}
+	ref, bat := run(true), run(false)
+	if ref.res != bat.res || ref.err != bat.err || ref.drawn != bat.drawn ||
+		ref.charged != bat.charged || ref.voltage != bat.voltage ||
+		ref.cyclesOn != bat.cyclesOn || ref.instrs != bat.instrs {
+		t.Fatalf("batched diverges from reference:\nreference %+v err=%v\nbatched   %+v err=%v",
+			ref.res, ref.err, bat.res, bat.err)
+	}
+	if !bytes.Equal(ref.data, bat.data) {
+		t.Fatal("data memory diverges")
+	}
+	if ref.res.Outages == 0 {
+		t.Fatal("the trace must force outages")
+	}
+	if name == "restart" && ref.err != ErrCycleBudget {
+		t.Fatalf("restart: err = %v, want ErrCycleBudget", ref.err)
+	}
+}
+
+// TestNoTraceOutOfPower: a device whose supply has no harvest trace runs
+// until its first brown-out and then reports ErrOutOfPower.
+func TestNoTraceOutOfPower(t *testing.T) {
+	for _, reference := range []bool{false, true} {
+		r := buildDevice(t, accumProgram, NewClank(DefaultClankConfig()), nil)
+		r.Reference = reference
+		res, err := r.RunToHalt()
+		if !errors.Is(err, ErrOutOfPower) {
+			t.Fatalf("reference=%v: err = %v, want ErrOutOfPower", reference, err)
+		}
+		if res.Outages != 1 || res.Halted {
+			t.Fatalf("reference=%v: result %+v, want one outage and no halt", reference, res)
+		}
+	}
+}
+
+// BenchmarkRunToHalt measures the batched runner, policy and supply replay
+// together: accumProgram to halt under each checkpointing policy over a
+// Wi-Fi harvest trace with outages. Device construction is excluded from
+// the timing.
+func BenchmarkRunToHalt(b *testing.B) {
+	p, err := asm.Assemble(accumProgram)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace := energy.SyntheticWiFiTrace(1, energy.DefaultTraceConfig())
+	for _, name := range []string{"clank", "nvp", "undolog"} {
+		b.Run(name, func(b *testing.B) {
+			var instrs, outages uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := mem.New(mem.DefaultConfig())
+				if err := m.LoadProgram(p.Image); err != nil {
+					b.Fatal(err)
+				}
+				r := NewRunner(cpu.New(m), m, energy.NewSupply(energy.DefaultDeviceConfig(), trace), policyMakers[name]())
+				b.StartTimer()
+				res, err := r.RunToHalt()
+				if err != nil || !res.Halted {
+					b.Fatalf("run %d: %+v, %v", i, res, err)
+				}
+				instrs += res.Instructions
+				outages += res.Outages
+			}
+			if outages == 0 {
+				b.Fatal("the trace must force outages")
+			}
+			b.ReportMetric(float64(instrs)/float64(b.N), "instructions/op")
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package intermittent
 
 import (
 	"whatsnext/internal/cpu"
+	"whatsnext/internal/energy"
 	"whatsnext/internal/isa"
 )
 
@@ -93,6 +94,18 @@ func (n *Naive) BatchHorizon() (uint64, float64) {
 		return 0, 0
 	}
 	return n.cfg.WatchdogCycles - n.sinceCheckpoint, 0
+}
+
+// BatchWindow implements Policy: the watchdog advances by the whole window.
+func (n *Naive) BatchWindow(cycles uint64) (first, last energy.Overhead) {
+	first = takeOverhead(&n.pendingOverheadC, &n.pendingOverheadE)
+	n.sinceCheckpoint += cycles
+	if n.sinceCheckpoint >= n.cfg.WatchdogCycles {
+		n.takeCheckpoint()
+		n.WatchdogCheckpoints++
+		last = takeOverhead(&n.pendingOverheadC, &n.pendingOverheadE)
+	}
+	return first, last
 }
 
 // AfterStep implements Policy: it applies the watchdog and surfaces any

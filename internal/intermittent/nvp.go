@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"whatsnext/internal/cpu"
+	"whatsnext/internal/energy"
 )
 
 // NVPConfig parameterizes the non-volatile-processor runtime.
@@ -48,11 +49,14 @@ func (n *NVP) Attach(r *Runner) {
 }
 
 // BatchHorizon implements Policy: NVP has no watchdog, so only the energy
-// headroom bounds a batch; the per-cycle backup surcharge is the drain
-// bound the runner must assume.
+// headroom bounds a batch; the per-cycle backup surcharge factor is the one
+// AfterStep charges.
 func (n *NVP) BatchHorizon() (uint64, float64) {
-	return math.MaxUint64, n.cfg.BackupEnergyFactor * n.r.Supply.Config().EnergyPerCycle
+	return math.MaxUint64, n.cfg.BackupEnergyFactor
 }
+
+// BatchWindow implements Policy: NVP never has overhead pending.
+func (n *NVP) BatchWindow(uint64) (first, last energy.Overhead) { return }
 
 // AfterStep implements Policy: charge the per-cycle backup surcharge.
 func (n *NVP) AfterStep(cost cpu.Cost) (uint32, float64) {

@@ -1,6 +1,9 @@
 package intermittent
 
-import "whatsnext/internal/cpu"
+import (
+	"whatsnext/internal/cpu"
+	"whatsnext/internal/energy"
+)
 
 // RestartConfig parameterizes the restart-from-entry runtime.
 type RestartConfig struct {
@@ -46,6 +49,9 @@ func (p *Restart) Attach(r *Runner) { p.r = r }
 // BatchHorizon implements Policy: no watchdog, no tracking — the batched
 // executor may run arbitrarily far.
 func (p *Restart) BatchHorizon() (uint64, float64) { return 1 << 62, 0 }
+
+// BatchWindow implements Policy: no overhead.
+func (p *Restart) BatchWindow(uint64) (first, last energy.Overhead) { return }
 
 // AfterStep implements Policy: no per-instruction overhead.
 func (p *Restart) AfterStep(cpu.Cost) (uint32, float64) { return 0, 0 }

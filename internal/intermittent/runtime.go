@@ -44,12 +44,19 @@ type Policy interface {
 	// Checkpoints returns how many checkpoints the policy has taken.
 	Checkpoints() uint64
 	// BatchHorizon reports the constraints under which the batched executor
-	// may run without per-instruction policy observation: no event that
-	// inspects CPU state (a watchdog checkpoint) may fire strictly inside
-	// the next `cycles` cycles, and `energyPerCycle` bounds the extra
-	// per-cycle energy AfterStep charges within that window. A zero horizon
-	// forces the runner back to the per-instruction reference path.
-	BatchHorizon() (cycles uint64, energyPerCycle float64)
+	// may run without per-instruction policy observation. No event that
+	// inspects CPU state (a watchdog checkpoint) may fall due before the
+	// final instruction of a window of at most `cycles` cycles. Each
+	// instruction of c cycles in the window draws a backup surcharge of
+	// c*backup*EnergyPerCycle joules, evaluated in that order, on top of
+	// its own cost. A zero horizon forces the runner to single-step.
+	BatchHorizon() (cycles uint64, backup float64)
+	// BatchWindow advances the policy over a window of instructions that
+	// ran `cycles` CPU cycles in total, leaving it as AfterStep on each of
+	// them would. It returns the overhead those AfterStep calls would have
+	// surfaced: first was pending before the window and rides on its first
+	// instruction; last, a watchdog checkpoint, falls due on its final one.
+	BatchWindow(cycles uint64) (first, last energy.Overhead)
 }
 
 // Result summarizes a run to completion.
@@ -210,21 +217,26 @@ func (r *Runner) runReference() (Result, error) {
 
 // Batched-executor window sizing. batchSlack keeps a window clear of the
 // brown-out threshold: RunUntil overshoots its budget by less than
-// cpu.MaxInstrCycles, and the first replayed AfterStep may surface one
+// cpu.MaxInstrCycles, and the window's first instruction may carry one
 // pending checkpoint (~40 cycles plus 17 NV-word writes) accrued just
 // before the window. 64 cycles of worst-case drain covers both with
-// margin. minBatch is the smallest window worth entering the batched
-// executor for; below it the runner single-steps the reference path.
+// margin, so only a window's final instruction can brown out. minBatch is
+// the smallest window worth entering the batched executor for; below it
+// the runner single-steps.
 const (
 	batchSlack = 64
 	minBatch   = 96
 )
 
-// runBatched drives the CPU through RunUntil windows and replays the
-// recorded per-instruction costs through Policy.AfterStep and Supply.Spend
-// in exactly the reference order, so every energy draw, harvest charge,
-// checkpoint, and outage lands on the same instruction boundary with the
-// same floating-point values as runReference.
+// runBatched drives the CPU through RunUntil windows and charges each
+// window once: Policy.BatchWindow advances the policy over the whole window
+// and Supply.SpendRun replays the recorded per-instruction costs through
+// the same float expressions, in the same order, as runReference's
+// AfterStep and Spend calls. Every energy draw, harvest charge, checkpoint
+// and outage therefore lands on the same instruction boundary with the
+// same floating-point values as runReference. Steps taken near a
+// checkpoint or brown-out boundary, and stores that need the BeforeStore
+// hook, go through the same path as one-instruction windows.
 func (r *Runner) runBatched() (Result, error) {
 	maxCycles := r.MaxCycles
 	if maxCycles == 0 {
@@ -252,19 +264,18 @@ func (r *Runner) runBatched() (Result, error) {
 	cfg := r.Supply.Config()
 	costs := make([]cpu.Cost, 0, 4096)
 
-	// stepOnce is one reference-loop iteration body: Step (with hook
-	// fidelity), AfterStep, Spend, outage handling.
-	stepOnce := func() error {
-		cost, err := r.CPU.Step()
-		if err != nil {
-			return fmt.Errorf("intermittent: fault: %w", err)
+	// replay charges the executed window in costs, which ran cycles CPU
+	// cycles, to the policy and the supply.
+	replay := func(cycles uint64, backup float64) error {
+		first, last := r.Policy.BatchWindow(cycles)
+		n, ok := r.Supply.SpendRun(costs, backup, first, last)
+		switch {
+		case ok:
+			return nil
+		case n < len(costs):
+			return fmt.Errorf("intermittent: internal error: brown-out at instruction %d of a %d-instruction window", n, len(costs))
 		}
-		ec, ee := r.Policy.AfterStep(cost)
-		nvEnergy := float64(cost.NVWrites) * cfg.NVWriteEnergy
-		if !r.Supply.Spend(cost.Cycles+ec, nvEnergy+ee) {
-			return outage()
-		}
-		return nil
+		return outage()
 	}
 
 	forceStep := false
@@ -286,14 +297,15 @@ func (r *Runner) runBatched() (Result, error) {
 
 		// Size a window in which nothing can interrupt the batch: the
 		// policy's horizon (cycles until a watchdog checkpoint may fire),
-		// the energy headroom under worst-case drain (no brown-out strictly
-		// inside the window), and the runaway budget (ErrCycleBudget fires
-		// at the same instruction as the reference loop).
+		// the energy headroom under worst-case drain (no brown-out before
+		// the window's final instruction), and the runaway budget
+		// (ErrCycleBudget fires at the same instruction as the reference
+		// loop).
+		horizon, backup := r.Policy.BatchHorizon()
 		var budget uint64
 		if !forceStep {
-			horizon, surcharge := r.Policy.BatchHorizon()
 			if horizon > 0 {
-				drain := cfg.EnergyPerCycle + cfg.NVWriteEnergy + surcharge
+				drain := cfg.EnergyPerCycle + cfg.NVWriteEnergy + backup*cfg.EnergyPerCycle
 				nSafe := uint64(r.Supply.Headroom() / drain)
 				if nSafe > minBatch+batchSlack {
 					budget = nSafe - batchSlack
@@ -308,31 +320,28 @@ func (r *Runner) runBatched() (Result, error) {
 		}
 		forceStep = false
 
+		costs = costs[:0]
 		if budget < minBatch {
 			// Too close to a brown-out or checkpoint boundary, or the next
-			// instruction needs the store hook: take one reference step so
-			// hooks and outages land exactly where the reference loop puts
-			// them.
-			if err := stepOnce(); err != nil {
+			// instruction needs the store hook: take one step so hooks and
+			// outages land exactly where the reference loop puts them.
+			cost, err := r.CPU.Step()
+			if err != nil {
+				return r.result(startOn, startOff, startOut, startDrawn, startInst), fmt.Errorf("intermittent: fault: %w", err)
+			}
+			costs = append(costs, cost)
+			if err := replay(uint64(cost.Cycles), backup); err != nil {
 				return r.result(startOn, startOff, startOut, startDrawn, startInst), err
 			}
 			continue
 		}
 
-		costs = costs[:0]
 		batch, err := r.CPU.Run(budget, &costs)
 		// Replay first: the instructions before a fault (or a StopStore /
 		// StopSkim boundary) executed and must pay energy in order.
-		for _, cost := range costs {
-			ec, ee := r.Policy.AfterStep(cost)
-			nvEnergy := float64(cost.NVWrites) * cfg.NVWriteEnergy
-			if !r.Supply.Spend(cost.Cycles+ec, nvEnergy+ee) {
-				// By construction this can only be the window's final
-				// instruction (see batchSlack); handle it like the
-				// reference loop would.
-				if oerr := outage(); oerr != nil {
-					return r.result(startOn, startOff, startOut, startDrawn, startInst), oerr
-				}
+		if len(costs) > 0 {
+			if rerr := replay(batch.Cycles, backup); rerr != nil {
+				return r.result(startOn, startOff, startOut, startDrawn, startInst), rerr
 			}
 		}
 		if err != nil {
@@ -343,6 +352,13 @@ func (r *Runner) runBatched() (Result, error) {
 		forceStep = batch.Reason == cpu.StopStore
 	}
 	return r.result(startOn, startOff, startOut, startDrawn, startInst), nil
+}
+
+// takeOverhead drains a policy's pending-overhead accumulators.
+func takeOverhead(cycles *uint32, joules *float64) energy.Overhead {
+	o := energy.Overhead{Cycles: *cycles, Energy: *joules}
+	*cycles, *joules = 0, 0
+	return o
 }
 
 func (r *Runner) result(startOn, startOff, startOut uint64, startDrawn float64, startInst uint64) Result {

@@ -2,6 +2,7 @@ package intermittent
 
 import (
 	"whatsnext/internal/cpu"
+	"whatsnext/internal/energy"
 	"whatsnext/internal/mem"
 )
 
@@ -139,6 +140,17 @@ func (u *UndoLog) BatchHorizon() (uint64, float64) {
 		return 0, 0
 	}
 	return u.cfg.WatchdogCycles - u.sinceCheckpoint, 0
+}
+
+// BatchWindow implements Policy: the watchdog advances by the whole window.
+func (u *UndoLog) BatchWindow(cycles uint64) (first, last energy.Overhead) {
+	first = takeOverhead(&u.pendingC, &u.pendingE)
+	u.sinceCheckpoint += cycles
+	if u.sinceCheckpoint >= u.cfg.WatchdogCycles {
+		u.takeCheckpoint()
+		last = takeOverhead(&u.pendingC, &u.pendingE)
+	}
+	return first, last
 }
 
 // AfterStep implements Policy.
