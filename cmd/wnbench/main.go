@@ -14,8 +14,10 @@
 // which speaks the same protocol — and the streamed results are reassembled
 // in place. The determinism contract makes remote output byte-identical to
 // a local run at any topology. Only experiments in the server's resolver
-// registry (see `wnserved` startup output) can run remotely; -parallel and
-// -cache then apply on the server, not here. -remote-retries bounds how
+// registry (see `wnserved` startup output) can run remotely; the others —
+// fig9, fig1 and progress among them — reach the server too and fail with
+// its "unresolvable experiment" error. -parallel and -cache then apply on
+// the server, not here. -remote-retries bounds how
 // often a shed (429) or transiently failing submission is retried, and a
 // dropped result stream resumes from its last-seen event.
 //

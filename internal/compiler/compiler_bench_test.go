@@ -1,6 +1,10 @@
 package compiler
 
-import "testing"
+import (
+	"testing"
+
+	"whatsnext/internal/mem"
+)
 
 func benchKernel() *Kernel {
 	n := int64(64)
@@ -56,6 +60,53 @@ func BenchmarkInterpret(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Interpret(k, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchPlanar lays out one planar SWV array at Table I size — MatAdd's
+// 64x64 31-bit matrix in provisioned 4-bit subwords (8 planes of 8-bit
+// lanes) — with its memory and input values.
+func benchPlanar(b *testing.B) (*Layout, *mem.Memory, []int64) {
+	b.Helper()
+	k := &Kernel{Name: "matadd", Arrays: []Array{{
+		Name: "A", ElemBits: 32, Len: 64 * 64, ValueBits: 31,
+		Pragma: PragmaASV, SubwordBits: 4, Provisioned: true,
+	}}}
+	l, err := BuildLayout(k, ModeSWV, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := make([]int64, 64*64)
+	for i := range vals {
+		vals[i] = int64(i) * 524287 % (1 << 31)
+	}
+	return l, mem.New(mem.DefaultConfig()), vals
+}
+
+// BenchmarkLayoutInstall measures encoding one planar array into memory.
+func BenchmarkLayoutInstall(b *testing.B) {
+	l, m, vals := benchPlanar(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.Install(m, "A", vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLayoutExtract measures reading one planar array back out.
+func BenchmarkLayoutExtract(b *testing.B) {
+	l, m, vals := benchPlanar(b)
+	if err := l.Install(m, "A", vals); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.Extract(m, "A"); err != nil {
 			b.Fatal(err)
 		}
 	}

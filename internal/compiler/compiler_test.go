@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,45 +150,156 @@ func TestInstallExtractRowMajorRoundTrip(t *testing.T) {
 	}
 }
 
+// encodePlanarReference is the per-element planar encoder: every subword of
+// every element is ORed into its lane of its plane's word. It is the byte
+// oracle for the hoisted encoder in Layout.Install.
+func encodePlanarReference(al ArrayLayout, vals []int64, buf []byte) {
+	b := al.Array.SubwordBits
+	lpw := al.LanesPerWord()
+	for i, v := range vals {
+		u := uint64(v) & elemMask(al.Array.ElemBits)
+		for sub := 0; sub < al.NumPlanes; sub++ {
+			sw := (u >> (b * sub)) & elemMask(al.SubBits(sub))
+			plane := al.PlaneForSub(sub)
+			word := i / lpw
+			lane := i % lpw
+			off := plane*al.PlaneBytes + word*4
+			cur := uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24
+			cur |= uint32(sw) << (lane * al.LaneBits)
+			buf[off], buf[off+1], buf[off+2], buf[off+3] = byte(cur), byte(cur>>8), byte(cur>>16), byte(cur>>24)
+		}
+	}
+}
+
+// extractPlanarReference is the per-element planar decoder: each element
+// sums its lanes at their subword positions, carries included. It is the
+// value oracle for Layout.Extract.
+func extractPlanarReference(al ArrayLayout, buf []byte) []int64 {
+	b := al.Array.SubwordBits
+	lpw := al.LanesPerWord()
+	laneMask := elemMask(al.LaneBits)
+	vals := make([]int64, al.Array.Len)
+	for i := range vals {
+		var acc uint64
+		for sub := 0; sub < al.NumPlanes; sub++ {
+			plane := al.PlaneForSub(sub)
+			word := i / lpw
+			lane := i % lpw
+			off := plane*al.PlaneBytes + word*4
+			cur := uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24
+			lv := uint64(cur>>(lane*al.LaneBits)) & laneMask
+			acc += lv << (b * sub)
+		}
+		vals[i] = int64(acc & elemMask(al.Array.ElemBits))
+	}
+	return vals
+}
+
 // TestPlanarRoundTripProperty: subword-major encode/decode is the identity
 // for every pragma configuration — the transposition of Figure 7 loses
-// nothing.
+// nothing — and Install writes exactly the bytes of the per-element
+// encoder, so an encoding change that is consistent in both directions
+// still fails. Extract must also match the per-element decoder on
+// arbitrary plane contents (provisioned lanes holding carries).
 func TestPlanarRoundTripProperty(t *testing.T) {
 	cfgs := []struct {
 		elem, bits, value int
 		prov              bool
+		swp               bool // ModeSWP with vectorized loads instead of ModeSWV
+		lens              []int
+		wantLane          int
 	}{
-		{32, 8, 32, true}, {32, 8, 32, false},
-		{32, 4, 32, true}, {32, 4, 32, false},
-		{16, 8, 16, false}, {16, 4, 16, true},
-		{32, 8, 31, true}, {32, 4, 24, true}, {16, 4, 12, false},
+		{elem: 32, bits: 8, value: 32, prov: true}, {elem: 32, bits: 8, value: 32},
+		{elem: 32, bits: 4, value: 32, prov: true}, {elem: 32, bits: 4, value: 32},
+		{elem: 16, bits: 8, value: 16}, {elem: 16, bits: 4, value: 16, prov: true},
+		{elem: 32, bits: 8, value: 31, prov: true}, {elem: 32, bits: 4, value: 24, prov: true},
+		{elem: 16, bits: 4, value: 12},
+		// Lane widths that round up to a divisor of 32.
+		{elem: 16, bits: 3, value: 12, wantLane: 4},
+		{elem: 16, bits: 3, value: 16, prov: true, wantLane: 8},
+		{elem: 32, bits: 6, value: 32, wantLane: 8},
+		{elem: 8, bits: 3, value: 8, lens: []int{1, 7, 9}, wantLane: 4},
+		// Figure 12's subword-vectorized loads: unprovisioned ASP planes.
+		{elem: 16, bits: 4, value: 12, swp: true, wantLane: 4},
+		{elem: 32, bits: 8, value: 32, swp: true, wantLane: 8},
+		{elem: 16, bits: 3, value: 12, swp: true, wantLane: 4},
+		{elem: 32, bits: 16, value: 32, prov: true, lens: []int{1, 2, 3}, wantLane: 32},
 	}
 	for _, cfg := range cfgs {
-		k := &Kernel{Name: "t", Arrays: []Array{{
-			Name: "A", ElemBits: cfg.elem, Len: 21, ValueBits: cfg.value,
-			Pragma: PragmaASV, SubwordBits: cfg.bits, Provisioned: cfg.prov,
-		}}}
-		l, err := BuildLayout(k, ModeSWV, false)
-		if err != nil {
-			t.Fatal(err)
+		lens := cfg.lens
+		if lens == nil {
+			// 21 leaves the last word partly filled at every lane width
+			// below 32 bits; 32 fills it.
+			lens = []int{21, 32}
 		}
-		m := mem.New(mem.DefaultConfig())
-		rng := rand.New(rand.NewSource(int64(cfg.elem * cfg.bits)))
-		limit := int64(1) << cfg.value
-		vals := make([]int64, 21)
-		for i := range vals {
-			vals[i] = rng.Int63n(limit)
-		}
-		if err := l.Install(m, "A", vals); err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		got, err := l.Extract(m, "A")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("%+v: A[%d] = %d, want %d", cfg, i, got[i], vals[i])
+		for _, n := range lens {
+			arr := Array{
+				Name: "A", ElemBits: cfg.elem, Len: n, ValueBits: cfg.value,
+				Pragma: PragmaASV, SubwordBits: cfg.bits, Provisioned: cfg.prov,
+			}
+			mode := ModeSWV
+			if cfg.swp {
+				arr.Pragma, arr.Provisioned, mode = PragmaASP, false, ModeSWP
+			}
+			l, err := BuildLayout(&Kernel{Name: "t", Arrays: []Array{arr}}, mode, cfg.swp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			al := l.Arrays["A"]
+			if !al.Planar {
+				t.Fatalf("%+v: layout is not planar", cfg)
+			}
+			if cfg.wantLane != 0 && al.LaneBits != cfg.wantLane {
+				t.Fatalf("%+v: lane width %d, want %d", cfg, al.LaneBits, cfg.wantLane)
+			}
+			rng := rand.New(rand.NewSource(int64(cfg.elem*cfg.bits + n)))
+			limit := int64(1) << cfg.value
+			// Install a full array and a short prefix of one.
+			for _, k := range []int{n, n / 2} {
+				m := mem.New(mem.DefaultConfig())
+				vals := make([]int64, k)
+				for i := range vals {
+					vals[i] = rng.Int63n(limit)
+				}
+				if err := l.Install(m, "A", vals); err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				got := make([]byte, al.TotalBytes)
+				if err := m.ReadData(al.Base, got); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]byte, al.TotalBytes)
+				encodePlanarReference(al, vals, want)
+				if string(got) != string(want) {
+					t.Fatalf("%+v len %d/%d: Install bytes\n got %x\nwant %x", cfg, k, n, got, want)
+				}
+				out, err := l.Extract(m, "A")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range out {
+					var v int64
+					if i < k {
+						v = vals[i]
+					}
+					if out[i] != v {
+						t.Fatalf("%+v len %d/%d: A[%d] = %d, want %d", cfg, k, n, i, out[i], v)
+					}
+				}
+			}
+			// Arbitrary plane contents, e.g. lanes holding carries.
+			m := mem.New(mem.DefaultConfig())
+			raw := make([]byte, al.TotalBytes)
+			rng.Read(raw)
+			if err := m.WriteData(al.Base, raw); err != nil {
+				t.Fatal(err)
+			}
+			out, err := l.Extract(m, "A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := extractPlanarReference(al, raw); !slices.Equal(out, want) {
+				t.Fatalf("%+v len %d: Extract of raw planes\n got %v\nwant %v", cfg, n, out, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"whatsnext/internal/mem"
@@ -152,7 +153,7 @@ func (l *Layout) Install(m *mem.Memory, name string, vals []int64) error {
 	}
 	buf := make([]byte, al.TotalBytes)
 	if al.Planar {
-		l.encodePlanar(al, vals, buf)
+		encodePlanar(&al, vals, buf)
 	} else {
 		mask := elemMask(al.Array.ElemBits)
 		switch eb := al.ElemBytes(); eb {
@@ -208,20 +209,21 @@ func (l *Layout) Fill(m *mem.Memory, name string, raw uint32) error {
 	return m.WriteData(al.Base, buf)
 }
 
-func (l *Layout) encodePlanar(al ArrayLayout, vals []int64, buf []byte) {
-	b := al.Array.SubwordBits
-	lpw := al.LanesPerWord()
-	for i, v := range vals {
-		u := uint64(v) & elemMask(al.Array.ElemBits)
-		for sub := 0; sub < al.NumPlanes; sub++ {
-			sw := (u >> (b * sub)) & elemMask(al.SubBits(sub))
-			plane := al.PlaneForSub(sub)
-			word := i / lpw
-			lane := i % lpw
-			off := plane*al.PlaneBytes + word*4
-			cur := uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24
-			cur |= uint32(sw) << (lane * al.LaneBits)
-			buf[off], buf[off+1], buf[off+2], buf[off+3] = byte(cur), byte(cur>>8), byte(cur>>16), byte(cur>>24)
+// encodePlanar packs vals into the planes of a zeroed buffer. Each plane's
+// subword shift, mask and offset are fixed per call; its words are built in
+// a register and stored once.
+func encodePlanar(al *ArrayLayout, vals []int64, buf []byte) {
+	b, lb, lpw := al.Array.SubwordBits, al.LaneBits, al.LanesPerWord()
+	elem := elemMask(al.Array.ElemBits)
+	for sub := 0; sub < al.NumPlanes; sub++ {
+		shift, mask := b*sub, elemMask(al.SubBits(sub))
+		plane := buf[al.PlaneForSub(sub)*al.PlaneBytes:]
+		for w := 0; w*lpw < len(vals); w++ {
+			var word uint32
+			for lane, v := range vals[w*lpw : min((w+1)*lpw, len(vals))] {
+				word |= uint32((uint64(v)&elem)>>shift&mask) << (lane * lb)
+			}
+			binary.LittleEndian.PutUint32(plane[4*w:], word)
 		}
 	}
 }
@@ -240,21 +242,26 @@ func (l *Layout) Extract(m *mem.Memory, name string) ([]int64, error) {
 	}
 	vals := make([]int64, al.Array.Len)
 	if al.Planar {
-		b := al.Array.SubwordBits
-		lpw := al.LanesPerWord()
-		laneMask := elemMask(al.LaneBits)
-		for i := range vals {
-			var acc uint64
-			for sub := 0; sub < al.NumPlanes; sub++ {
-				plane := al.PlaneForSub(sub)
-				word := i / lpw
-				lane := i % lpw
-				off := plane*al.PlaneBytes + word*4
-				cur := uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24
-				lv := uint64(cur>>(lane*al.LaneBits)) & laneMask
-				acc += lv << (b * sub)
+		// Sum each plane's lanes into the elements at the plane's subword
+		// position (uint64 wraparound is order-independent), then truncate
+		// to the element width.
+		b, lb, lpw := al.Array.SubwordBits, al.LaneBits, al.LanesPerWord()
+		laneMask := uint32(elemMask(lb))
+		for sub := 0; sub < al.NumPlanes; sub++ {
+			shift := b * sub
+			plane := buf[al.PlaneForSub(sub)*al.PlaneBytes:]
+			for w := 0; w*lpw < len(vals); w++ {
+				cur := binary.LittleEndian.Uint32(plane[4*w:])
+				lanes := vals[w*lpw : min((w+1)*lpw, len(vals))]
+				for lane := range lanes {
+					lanes[lane] += int64(uint64(cur&laneMask) << shift)
+					cur >>= lb
+				}
 			}
-			vals[i] = int64(acc & elemMask(al.Array.ElemBits))
+		}
+		elem := elemMask(al.Array.ElemBits)
+		for i, v := range vals {
+			vals[i] = int64(uint64(v) & elem)
 		}
 	} else {
 		eb := al.ElemBytes()

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 
+	"whatsnext/internal/compiler"
 	"whatsnext/internal/energy"
 	"whatsnext/internal/faultinject"
 	"whatsnext/internal/nn"
+	"whatsnext/internal/sweep"
 	"whatsnext/internal/workloads"
 )
 
@@ -38,7 +40,8 @@ type ProgressRow struct {
 // anytime builds) plus the progress-embedded NN baselines: the static
 // per-region WCEC from the verification certificate against the dynamic
 // worst inter-commit gap of a golden run, and the minimum capacitor that
-// makes the certified worst region survivable on one charge.
+// makes the certified worst region survivable on one charge. Each variant
+// is one sweep cell.
 func ProgressStudy(proto Protocol) ([]ProgressRow, error) {
 	var variants []Variant
 	for _, b := range workloads.All() {
@@ -48,39 +51,68 @@ func ProgressStudy(proto Protocol) ([]ProgressRow, error) {
 	for _, b := range nn.All() {
 		variants = append(variants, NNVariant(b, proto.params(b), 0))
 	}
-
-	dev := energy.DefaultDeviceConfig()
-	window := dev.VOn*dev.VOn - dev.VOff*dev.VOff
-	rows := make([]ProgressRow, 0, len(variants))
+	jobs := make([]sweep.Job, 0, len(variants))
 	for _, v := range variants {
-		c, err := v.Compile()
-		if err != nil {
-			return nil, err
-		}
-		pr := c.Cert.Progress
-		if pr == nil || !pr.RegionsFinite || !pr.TotalFinite {
-			return nil, fmt.Errorf("progress: %s: certificate carries no finite WCEC", v)
-		}
-		t := faultinject.FromCompiled(v.String(), c, v.Bench.Inputs(v.Params, 1))
-		gap, total, err := faultinject.GoldenProgress(t, faultinject.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("progress: %s: %w", v, err)
-		}
-		if gap > pr.MaxRegionWCEC {
-			return nil, fmt.Errorf("progress: %s: dynamic gap %d exceeds certified bound %d",
-				v, gap, pr.MaxRegionWCEC)
-		}
-		rows = append(rows, ProgressRow{
-			Variant:          v.String(),
-			StaticRegionWCEC: pr.MaxRegionWCEC,
-			StaticTotalWCEC:  pr.TotalWCEC,
-			DynamicMaxGap:    gap,
-			GoldenCycles:     total,
-			MinCapacitorUF:   1e6 * 2 * float64(pr.MaxRegionWCEC) * dev.EnergyPerCycle / window,
-			Budget:           certifiedBudget(c),
+		jobs = append(jobs, sweep.Job{
+			Spec: progressSpec(v),
+			Run:  func() (any, error) { return runProgressCell(v) },
 		})
 	}
+	rows, err := runSweep[ProgressRow](proto.runner(), jobs)
+	if err != nil {
+		return nil, fmt.Errorf("progress study: %w", err)
+	}
 	return rows, nil
+}
+
+func progressSpec(v Variant) sweep.Spec {
+	return sweep.Spec{
+		Experiment: "progress",
+		Kernel:     v.Bench.Name,
+		Variant:    v.String(),
+		InputSeed:  1,
+		Params:     specParams(v.Params),
+	}
+}
+
+// runProgressCell certifies one variant and measures its golden run.
+func runProgressCell(v Variant) (ProgressRow, error) {
+	c, err := v.Compile()
+	if err != nil {
+		return ProgressRow{}, err
+	}
+	pr := c.Cert.Progress
+	if pr == nil || !pr.RegionsFinite || !pr.TotalFinite {
+		return ProgressRow{}, fmt.Errorf("progress: %s: certificate carries no finite WCEC", v)
+	}
+	t := faultinject.FromCompiled(v.String(), c, v.Bench.Inputs(v.Params, 1))
+	gap, total, err := faultinject.GoldenProgress(t, faultinject.Config{})
+	if err != nil {
+		return ProgressRow{}, fmt.Errorf("progress: %s: %w", v, err)
+	}
+	return progressRow(v, c, gap, total)
+}
+
+// progressRow checks a measured golden run against the variant's
+// certificate and derives the row. A dynamic gap above the certified bound
+// would be an analyzer soundness bug, so it is an error, not a row.
+func progressRow(v Variant, c *compiler.Compiled, gap, total uint64) (ProgressRow, error) {
+	pr := c.Cert.Progress
+	if gap > pr.MaxRegionWCEC {
+		return ProgressRow{}, fmt.Errorf("progress: %s: dynamic gap %d exceeds certified bound %d",
+			v, gap, pr.MaxRegionWCEC)
+	}
+	dev := energy.DefaultDeviceConfig()
+	window := dev.VOn*dev.VOn - dev.VOff*dev.VOff
+	return ProgressRow{
+		Variant:          v.String(),
+		StaticRegionWCEC: pr.MaxRegionWCEC,
+		StaticTotalWCEC:  pr.TotalWCEC,
+		DynamicMaxGap:    gap,
+		GoldenCycles:     total,
+		MinCapacitorUF:   1e6 * 2 * float64(pr.MaxRegionWCEC) * dev.EnergyPerCycle / window,
+		Budget:           certifiedBudget(c),
+	}, nil
 }
 
 // PrintProgress renders the study.

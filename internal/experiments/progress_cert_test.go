@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"whatsnext/internal/compiler"
 	"whatsnext/internal/nn"
+	"whatsnext/internal/sweep"
 	"whatsnext/internal/workloads"
 )
 
@@ -30,6 +32,33 @@ func TestProgressStudy(t *testing.T) {
 		if r.Budget <= r.StaticTotalWCEC {
 			t.Errorf("%s: certified budget %d does not clear the total WCEC %d",
 				r.Variant, r.Budget, r.StaticTotalWCEC)
+		}
+	}
+}
+
+// TestProgressCellErrorNamesVariant: a progress cell whose measured gap
+// exceeds its certified bound fails the sweep, and the error that comes
+// back through the engine names the variant.
+func TestProgressCellErrorNamesVariant(t *testing.T) {
+	b := workloads.Var()
+	v := WNVariant(b, DefaultProtocol().params(b), 8)
+	c, err := v.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := c.Cert.Progress.MaxRegionWCEC
+	if _, err := progressRow(v, c, bound, 1); err != nil {
+		t.Fatalf("gap at the bound rejected: %v", err)
+	}
+	bad := sweep.Job{Spec: progressSpec(v),
+		Run: func() (any, error) { return progressRow(v, c, bound+1, 1) }}
+	_, err = sweep.New(sweep.Options{Workers: 2}).Run([]sweep.Job{bad})
+	if err == nil {
+		t.Fatal("a gap above the certified bound did not fail the sweep")
+	}
+	for _, want := range []string{v.String(), "exceeds certified bound"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
 		}
 	}
 }

@@ -3,11 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
-	"whatsnext/internal/compiler"
 	"whatsnext/internal/core"
 	"whatsnext/internal/energy"
 	"whatsnext/internal/quality"
+	"whatsnext/internal/sweep"
 	"whatsnext/internal/workloads"
 )
 
@@ -32,54 +33,101 @@ type StreamRow struct {
 // A new input lands every arrival period (chosen per benchmark as ~60% of
 // the precise build's expected wall completion, so the conventional build
 // cannot keep up); inputs arriving while the device is busy are dropped.
+//
+// The study is two sweeps: one calibration cell per benchmark measures the
+// precise build's wall completion on the reference trace, then one stream
+// cell per (benchmark, build) replays the stream at the calibrated period,
+// which travels in the cell's spec.
 func StreamStudy(proto Protocol, arrivals int) ([]StreamRow, error) {
 	if arrivals <= 0 {
 		arrivals = 16
 	}
-	var rows []StreamRow
-	for _, b := range workloads.All() {
+	benches := workloads.All()
+	calib := make([]sweep.Job, 0, len(benches))
+	for _, b := range benches {
 		p := proto.params(b)
-		precise, err := PreciseVariant(b, p).Compile()
-		if err != nil {
-			return nil, err
-		}
-		wn, err := WNVariant(b, p, 4).Compile()
-		if err != nil {
-			return nil, err
-		}
-		// Calibrate the arrival period from the precise build's wall
-		// completion time on a reference trace.
-		ref := intermittentSystem(core.ProcClank, 55, false)
-		if err := ref.Load(precise); err != nil {
-			return nil, err
-		}
-		res, err := ref.RunInput(b.Inputs(p, 1))
-		if err != nil {
-			return nil, err
-		}
-		period := res.TotalCycles() * 6 / 10
+		calib = append(calib, sweep.Job{
+			Spec: streamSpec("fig1/calibrate", PreciseVariant(b, p), 1, specParams(p)),
+			Run:  func() (any, error) { return calibrateStream(b, p) },
+		})
+	}
+	completion, err := runSweep[uint64](proto.runner(), calib)
+	if err != nil {
+		return nil, fmt.Errorf("figure 1 calibration: %w", err)
+	}
 
+	var jobs []sweep.Job
+	for i, b := range benches {
+		p := proto.params(b)
+		period := completion[i] * 6 / 10
 		for _, cfg := range []struct {
 			name string
-			c    *compiler.Compiled
-		}{{"precise", precise}, {"wn-4bit", wn}} {
-			row, err := streamOne(b, p, cfg.c, period, arrivals)
-			if err != nil {
-				return nil, err
-			}
-			row.Config = cfg.name
-			rows = append(rows, row)
+			v    Variant
+		}{{"precise", PreciseVariant(b, p)}, {"wn-4bit", WNVariant(b, p, 4)}} {
+			jobs = append(jobs, sweep.Job{
+				Spec: streamSpec("fig1", cfg.v, streamInputSeed, specParams(p,
+					"arrivals", itoa(arrivals),
+					"period", strconv.FormatUint(period, 10))),
+				Run: func() (any, error) { return streamOne(cfg.v, cfg.name, period, arrivals) },
+			})
 		}
+	}
+	rows, err := runSweep[StreamRow](proto.runner(), jobs)
+	if err != nil {
+		return nil, fmt.Errorf("figure 1: %w", err)
 	}
 	return rows, nil
 }
 
-func streamOne(b *workloads.Benchmark, p workloads.Params, c *compiler.Compiled, period uint64, arrivals int) (StreamRow, error) {
-	sys := core.NewSystem(core.DefaultConfig(), energy.SyntheticWiFiTrace(55, energy.DefaultTraceConfig()))
+// The stream runs on a Clank device over the seeded Wi-Fi trace 55; input
+// k of the stream is seeded streamInputSeed+k.
+const (
+	streamTraceSeed = 55
+	streamInputSeed = 200
+)
+
+func streamSpec(experiment string, v Variant, inputSeed int64, params map[string]string) sweep.Spec {
+	return sweep.Spec{
+		Experiment: experiment,
+		Kernel:     v.Bench.Name,
+		Variant:    v.String(),
+		Processor:  core.ProcClank.String(),
+		Source:     string(energy.SourceWiFi),
+		TraceSeed:  streamTraceSeed,
+		InputSeed:  inputSeed,
+		Params:     params,
+	}
+}
+
+// calibrateStream measures the precise build's wall completion time, in
+// cycles, on the stream's reference trace.
+func calibrateStream(b *workloads.Benchmark, p workloads.Params) (uint64, error) {
+	precise, err := PreciseVariant(b, p).Compile()
+	if err != nil {
+		return 0, err
+	}
+	ref := intermittentSystem(core.ProcClank, streamTraceSeed, false)
+	if err := ref.Load(precise); err != nil {
+		return 0, err
+	}
+	res, err := ref.RunInput(b.Inputs(p, 1))
+	if err != nil {
+		return 0, err
+	}
+	return res.TotalCycles(), nil
+}
+
+func streamOne(v Variant, config string, period uint64, arrivals int) (StreamRow, error) {
+	b, p := v.Bench, v.Params
+	c, err := v.Compile()
+	if err != nil {
+		return StreamRow{}, err
+	}
+	sys := intermittentSystem(core.ProcClank, streamTraceSeed, false)
 	if err := sys.Load(c); err != nil {
 		return StreamRow{}, err
 	}
-	row := StreamRow{Benchmark: b.Name, Arrivals: arrivals}
+	row := StreamRow{Benchmark: b.Name, Config: config, Arrivals: arrivals}
 	var lags, errs []float64
 	now := uint64(0) // wall-clock in cycles, tracked via the supply
 	for k := 0; k < arrivals; k++ {
@@ -89,7 +137,7 @@ func streamOne(b *workloads.Benchmark, p workloads.Params, c *compiler.Compiled,
 			row.Dropped++
 			continue
 		}
-		in := b.Inputs(p, int64(200+k))
+		in := b.Inputs(p, int64(streamInputSeed+k))
 		golden := b.Golden(p, in)
 		res, err := sys.RunInput(in)
 		if err != nil {

@@ -66,7 +66,7 @@ type Schedule struct {
 // Divergence is one witnessed crash-consistency violation.
 type Divergence struct {
 	KillCycle       uint64 // CPU cycle at which power was killed
-	KillInstruction uint64 // instructions retired before the kill
+	KillInstruction uint64 // instructions started before the kill cycle
 	Halted          bool   // false: the injected run exceeded the budget
 	Addr            uint32 // first differing NV data word (when Halted)
 	Got, Want       uint32 // its value in the injected vs golden run
@@ -159,7 +159,8 @@ func Run(t Target, cfg Config, sched Schedule) (*Report, error) {
 }
 
 // killPoint is one scheduled failure: a cycle count and, for reporting,
-// the number of instructions retired when it is reached.
+// the number of instructions that start before it — those a run stopped
+// at that cycle budget has executed.
 type killPoint struct {
 	cycle uint64
 	instr uint64
@@ -168,14 +169,23 @@ type killPoint struct {
 // killPoints derives the schedule from the golden run's per-instruction
 // costs. Boundaries are the cumulative cycle counts after each instruction;
 // the boundary after the final instruction (HALT) is excluded — the run is
-// already over.
+// already over. A strided schedule's cycles k*total/(n+1) never decrease as
+// k grows, so one forward pass over the costs finds every point's
+// instruction count.
 func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 	if !sched.Exhaustive {
-		var pts []killPoint
 		n := uint64(sched.Points)
+		pts := make([]killPoint, 0, n)
+		var cum, instr uint64
 		for k := uint64(1); k <= n; k++ {
 			c := k * total / (n + 1)
-			pts = append(pts, killPoint{cycle: c, instr: instructionAt(costs, c)})
+			// Count the instructions that start before cycle c: those a
+			// run stopped at budget c has executed.
+			for instr < uint64(len(costs)) && cum < c {
+				cum += uint64(costs[instr].Cycles)
+				instr++
+			}
+			pts = append(pts, killPoint{cycle: c, instr: instr})
 		}
 		return pts
 	}
@@ -196,19 +206,6 @@ func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 		return sampled
 	}
 	return bounds
-}
-
-// instructionAt counts the instructions fully retired before cycle c.
-func instructionAt(costs []cpu.Cost, c uint64) uint64 {
-	var cum, n uint64
-	for _, co := range costs {
-		if cum >= c {
-			break
-		}
-		cum += uint64(co.Cycles)
-		n++
-	}
-	return n
 }
 
 // diff compares an injected run against the golden run.

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"whatsnext/internal/asm"
+	"whatsnext/internal/compiler"
 	"whatsnext/internal/faultinject"
+	"whatsnext/internal/workloads"
 )
 
 // TestLockstepMatchesRun is the lockstep engine's contract: for every
@@ -128,3 +130,28 @@ func BenchmarkExhaustiveNaive(b *testing.B) { benchCampaign(b, faultinject.Run) 
 
 // BenchmarkExhaustiveLockstep measures the shared-trunk campaign.
 func BenchmarkExhaustiveLockstep(b *testing.B) { benchCampaign(b, faultinject.RunLockstep) }
+
+// BenchmarkStridedCampaign measures one fault-study cell: a 512-point
+// strided lockstep campaign on the precise Var kernel at its scaled size
+// under Clank.
+func BenchmarkStridedCampaign(b *testing.B) {
+	w := workloads.Var()
+	p := w.ScaledParams()
+	c, err := compiler.Compile(w.Build(p, 8, false), compiler.Options{Mode: compiler.ModePrecise})
+	if err != nil {
+		b.Fatal(err)
+	}
+	target := faultinject.FromCompiled(w.Name, c, w.Inputs(p, 1))
+	cfg := faultinject.Config{Policy: policyFactory("clank")}
+	sched := faultinject.Schedule{Points: 512}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := faultinject.RunLockstep(target, cfg, sched)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Clean() {
+			b.Fatalf("unexpected divergence: %s", rep.Divergences[0])
+		}
+	}
+}

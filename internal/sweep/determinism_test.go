@@ -53,6 +53,12 @@ func TestExperimentDeterminism(t *testing.T) {
 		{"fig15", func(p experiments.Protocol) (any, error) {
 			return experiments.Figure15(p)
 		}},
+		{"fig1", func(p experiments.Protocol) (any, error) {
+			return experiments.StreamStudy(p, 12)
+		}},
+		{"progress", func(p experiments.Protocol) (any, error) {
+			return experiments.ProgressStudy(p)
+		}},
 	}
 	for _, s := range studies {
 		t.Run(s.name, func(t *testing.T) {
