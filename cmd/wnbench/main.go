@@ -7,26 +7,14 @@
 // internal/sweep job engine: -parallel sets the worker count (default: all
 // CPUs), -cache persists results under their spec hash so a repeated run
 // skips already-simulated cells, and -progress renders a live done/total
-// line while the sweep runs.
-//
-// With -remote URL the cells are not simulated locally at all: each study's
-// specs are submitted to a wnserved instance — or a wncluster coordinator,
-// which speaks the same protocol — and the streamed results are reassembled
-// in place. The determinism contract makes remote output byte-identical to
-// a local run at any topology. Only experiments in the server's resolver
-// registry (see `wnserved` startup output) can run remotely; the others —
-// fig9, fig1 and progress among them — reach the server too and fail with
-// its "unresolvable experiment" error. -parallel and -cache then apply on
-// the server, not here. -remote-retries bounds how
-// often a shed (429) or transiently failing submission is retried, and a
-// dropped result stream resumes from its last-seen event.
+// line while the sweep runs. Output is byte-identical at any -parallel
+// value and from a warm -cache.
 //
 // Usage:
 //
 //	wnbench [-exp all|list|table1|fig1|...|areapower]
-//	        [-backend super|batch|ref]
 //	        [-full] [-traces N] [-invocations N] [-out DIR] [-samples N]
-//	        [-parallel N] [-cache DIR] [-progress] [-remote URL] [-remote-retries N]
+//	        [-parallel N] [-cache DIR] [-progress]
 //	        [-faultpoints N] [-faultbench A,B] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -42,7 +30,6 @@ import (
 	"whatsnext/internal/core"
 	"whatsnext/internal/energy"
 	"whatsnext/internal/experiments"
-	"whatsnext/internal/serve"
 	"whatsnext/internal/sweep"
 	"whatsnext/internal/synthmodel"
 )
@@ -96,22 +83,19 @@ func main() {
 // deferred profile writers installed below always flush.
 func realMain() int {
 	var (
-		exp           = flag.String("exp", "all", "experiment to run ('list' enumerates)")
-		full          = flag.Bool("full", false, "paper protocol: 9 traces x 3 invocations, paper-scale inputs")
-		traces        = flag.Int("traces", 0, "override number of harvest traces")
-		invocations   = flag.Int("invocations", 0, "override invocations per trace")
-		outDir        = flag.String("out", "out", "directory for generated images and CSVs")
-		samples       = flag.Int("samples", 120, "points per runtime-quality curve")
-		parallel      = flag.Int("parallel", 0, "sweep workers (0 = all CPUs, 1 = serial)")
-		cacheDir      = flag.String("cache", "", "result-cache directory (repeat runs skip simulated cells)")
-		progress      = flag.Bool("progress", false, "render live sweep progress on stderr")
-		remote        = flag.String("remote", "", "run sweeps on a wnserved or wncluster instance at this base URL")
-		remoteRetries = flag.Int("remote-retries", 3, "retry budget per remote submission/stream (429 and transient failures)")
-		backend       = flag.String("backend", "super", "execution engine: super (translated), batch (interpreter), ref (per-instruction)")
-		faultPoints   = flag.Int("faultpoints", 32, "kill points per fault-injection cell (-exp faults)")
-		faultBench    = flag.String("faultbench", "", "comma-separated benchmark filter for -exp faults (default: all)")
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile    = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
+		exp         = flag.String("exp", "all", "experiment to run ('list' enumerates)")
+		full        = flag.Bool("full", false, "paper protocol: 9 traces x 3 invocations, paper-scale inputs")
+		traces      = flag.Int("traces", 0, "override number of harvest traces")
+		invocations = flag.Int("invocations", 0, "override invocations per trace")
+		outDir      = flag.String("out", "out", "directory for generated images and CSVs")
+		samples     = flag.Int("samples", 120, "points per runtime-quality curve")
+		parallel    = flag.Int("parallel", 0, "sweep workers (0 = all CPUs, 1 = serial)")
+		cacheDir    = flag.String("cache", "", "result-cache directory (repeat runs skip simulated cells)")
+		progress    = flag.Bool("progress", false, "render live sweep progress on stderr")
+		faultPoints = flag.Int("faultpoints", 32, "kill points per fault-injection cell (-exp faults)")
+		faultBench  = flag.String("faultbench", "", "comma-separated benchmark filter for -exp faults (default: all)")
+		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile  = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
 
@@ -141,13 +125,6 @@ func realMain() int {
 				fmt.Fprintln(os.Stderr, "wnbench:", err)
 			}
 		}()
-	}
-
-	if b, err := experiments.ParseBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "wnbench:", err)
-		return 2
-	} else {
-		experiments.SetExecBackend(b)
 	}
 
 	if *exp == "list" {
@@ -186,11 +163,6 @@ func realMain() int {
 	}
 	eng := sweep.New(opts)
 	proto.Engine = eng
-	if *remote != "" {
-		cl := serve.NewClient(*remote)
-		cl.Retries = *remoteRetries
-		proto.Runner = cl
-	}
 
 	ctx := &runCtx{w: os.Stdout, proto: proto, outDir: *outDir, samples: *samples,
 		faultPoints: *faultPoints, faultBench: *faultBench}
@@ -430,9 +402,8 @@ func runFaults(c *runCtx) error {
 	return nil
 }
 
-// runProgress runs locally (no sweep cells): each row is one compile plus
-// one golden run, and the study fails the invocation if any dynamic gap
-// exceeds its certified static bound.
+// runProgress fails the invocation if any dynamic commit gap exceeds its
+// certified static bound.
 func runProgress(c *runCtx) error {
 	rows, err := experiments.ProgressStudy(c.proto)
 	if err != nil {

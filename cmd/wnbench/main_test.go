@@ -3,26 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"whatsnext/internal/experiments"
 )
 
-// resolverCLI maps each spec-resolver experiment to the CLI entries that
-// drive it (the speedup resolver backs both figure studies). The no-drift
-// test below keeps this map, the resolver registry, and the CLI registry
-// in lockstep.
-var resolverCLI = map[string][]string{
-	"table1":  {"table1"},
-	"speedup": {"fig10", "fig11"},
-	"nn":      {"nn"},
-}
-
-// TestRegistryMatchesResolvers is the no-drift check between the CLI and
-// the spec-resolver registry: every experiment a wnserved instance can
-// resolve must be driven by a runnable CLI entry, so remote-capable
-// studies never silently drop out of `-exp all`, and the map above never
-// goes stale in either direction.
-func TestRegistryMatchesResolvers(t *testing.T) {
+// TestRegistryWellFormed: every registry entry has a unique name, a
+// description and a runner, and validateExp accepts it.
+func TestRegistryWellFormed(t *testing.T) {
 	names := map[string]bool{}
 	for _, e := range registry {
 		if names[e.name] {
@@ -32,24 +17,8 @@ func TestRegistryMatchesResolvers(t *testing.T) {
 		if e.desc == "" || e.run == nil {
 			t.Errorf("registry entry %q lacks a description or runner", e.name)
 		}
-	}
-	resolvable := experiments.ResolvableExperiments()
-	if len(resolvable) != len(resolverCLI) {
-		t.Errorf("resolver registry has %d experiments, CLI map covers %d", len(resolvable), len(resolverCLI))
-	}
-	for _, n := range resolvable {
-		clis, ok := resolverCLI[n]
-		if !ok {
-			t.Errorf("resolver experiment %q has no CLI mapping", n)
-			continue
-		}
-		for _, cli := range clis {
-			if !names[cli] {
-				t.Errorf("resolver experiment %q maps to unknown CLI entry %q", n, cli)
-			}
-			if err := validateExp(cli); err != nil {
-				t.Errorf("validateExp(%q): %v", cli, err)
-			}
+		if err := validateExp(e.name); err != nil {
+			t.Errorf("validateExp(%q): %v", e.name, err)
 		}
 	}
 }

@@ -1,11 +1,10 @@
 // Command wnvet is a determinism linter for the simulation packages.
 //
-// The sweep engine's result cache, the remote execution protocol, and the
-// certificate byte-stability guarantee all rest on one invariant: a study
-// cell's output is a pure function of its spec. wnvet walks the Go sources
-// of the packages named on the command line (defaulting to the packages
-// that carry the invariant) and flags the three ways it historically
-// breaks:
+// The sweep engine's result cache and the certificate byte-stability
+// guarantee both rest on one invariant: a study cell's output is a pure
+// function of its spec. wnvet walks the Go sources of the packages named
+// on the command line (defaulting to the packages that carry the
+// invariant) and flags the three ways it historically breaks:
 //
 //   - calls to time.Now / time.Since — wall-clock values leaking into
 //     results or hashes;

@@ -18,7 +18,7 @@ const (
 	BackendSuper Backend = iota
 	// BackendBatch forces the per-instruction batched interpreter
 	// (RunUntil) unconditionally — the PR 3 engine, kept as the deopt
-	// target and the A/B reference for `wnbench -backend batch`.
+	// target and the differential reference in tests.
 	BackendBatch
 )
 

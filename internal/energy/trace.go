@@ -132,10 +132,12 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV. The sample rate is inferred
-// from the first two timestamps. Timestamps must be finite and power
-// finite and non-negative: a NaN sample would keep the capacitor from ever
-// crossing V_off, so the device would silently never brown out. Errors
-// name the offending row, counting the header as row 1.
+// from the first two timestamps, and every later timestamp must sit on that
+// grid: within half a sample period of t0 + (row-2)/SampleHz, so a skipped,
+// repeated or garbled sample cannot be read at the wrong rate. Timestamps
+// must be finite and power finite and non-negative: a NaN sample would keep
+// the capacitor from ever crossing V_off, so the device would silently never
+// brown out. Errors name the offending row, counting the header as row 1.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -148,16 +150,15 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	rows = rows[1:] // drop header
 	var ts [2]float64
 	for i := range ts {
-		ts[i], err = strconv.ParseFloat(rows[i][0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("energy: row %d: bad timestamp %q: %v", i+2, rows[i][0], err)
-		}
-		if math.IsNaN(ts[i]) || math.IsInf(ts[i], 0) {
-			return nil, fmt.Errorf("energy: row %d: timestamp %v is not finite", i+2, ts[i])
+		if ts[i], err = parseTimestamp(rows[i][0], i+2); err != nil {
+			return nil, err
 		}
 	}
 	if ts[1] <= ts[0] {
 		return nil, fmt.Errorf("energy: non-increasing timestamps in trace")
+	}
+	if math.IsInf(ts[1]-ts[0], 0) {
+		return nil, fmt.Errorf("energy: rows 2-3: sample period between %v and %v overflows", ts[0], ts[1])
 	}
 	hz := 1 / (ts[1] - ts[0])
 	if math.IsInf(hz, 0) {
@@ -167,6 +168,16 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	for i, row := range rows {
 		if len(row) < 2 {
 			return nil, fmt.Errorf("energy: row %d is short", i+2)
+		}
+		if i >= len(ts) {
+			t, err := parseTimestamp(row[0], i+2)
+			if err != nil {
+				return nil, err
+			}
+			want := ts[0] + float64(i)/hz
+			if !(math.Abs(t-want) <= 0.5/hz) {
+				return nil, fmt.Errorf("energy: row %d: timestamp %v is off the %v Hz sample grid (want %v)", i+2, t, hz, want)
+			}
 		}
 		p, err := strconv.ParseFloat(row[1], 64)
 		if err != nil {
@@ -178,4 +189,17 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		tr.Power = append(tr.Power, p)
 	}
 	return tr, nil
+}
+
+// parseTimestamp parses the time_s field of CSV row n (header = row 1),
+// rejecting non-numeric and non-finite values.
+func parseTimestamp(field string, n int) (float64, error) {
+	t, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, fmt.Errorf("energy: row %d: bad timestamp %q: %v", n, field, err)
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return 0, fmt.Errorf("energy: row %d: timestamp %v is not finite", n, t)
+	}
+	return t, nil
 }

@@ -35,11 +35,10 @@ type Protocol struct {
 	// parallel engine reproduces it byte for byte.
 	Engine *sweep.Engine
 
-	// Runner, when non-nil, overrides Engine with an arbitrary job runner —
-	// in particular internal/serve's HTTP client, which ships each study's
-	// specs to a shared wnserved instance instead of simulating locally.
-	// The determinism contract makes the two indistinguishable byte for
-	// byte (for experiments the server can resolve; see ResolveSpec).
+	// Runner, when non-nil, overrides Engine with an arbitrary job runner,
+	// e.g. one that wraps an engine to observe each study's jobs. The
+	// determinism contract still holds: a runner must return each job's
+	// encoded result in submission order.
 	Runner sweep.Runner
 }
 
@@ -169,7 +168,6 @@ func bareDeviceOn(m *mem.Memory, c *compiler.Compiled, inputs map[string][]int64
 	if memo {
 		cp.Memo = cpu.NewMemoTable()
 	}
-	applyBackend(cp)
 	return cp, m, nil
 }
 
@@ -211,7 +209,7 @@ func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOpti
 		if opt.cycleBudget != 0 && opt.cycleBudget-cycles < budget {
 			budget = opt.cycleBudget - cycles
 		}
-		res, err := runWindow(cp, budget)
+		res, err := cp.Run(budget, nil)
 		if err != nil {
 			return contResult{}, nil, fmt.Errorf("experiments: %s fault: %w", c.Kernel.Name, err)
 		}

@@ -76,8 +76,7 @@ func nnMetricShape(b *workloads.Benchmark, p workloads.Params) (classes, tile in
 // NNStudy sweeps the NN layer kernels across subword widths under
 // continuous power, reporting runtime against accuracy. Every cell is an
 // independent job routed through the spec resolver, so the study runs
-// identically on the serial engine, a parallel engine, or a remote
-// wnserved instance.
+// identically on the serial engine or a parallel one.
 func NNStudy(proto Protocol) ([]NNRow, error) {
 	type group struct {
 		b    *workloads.Benchmark

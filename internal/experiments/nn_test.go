@@ -57,7 +57,7 @@ func TestNNStudyShape(t *testing.T) {
 
 // TestNNStudyParallelDeterminism: the study's rows are identical on the
 // serial reference engine and an 8-worker engine (the determinism
-// contract that also makes remote wnserved runs byte-identical).
+// contract).
 func TestNNStudyParallelDeterminism(t *testing.T) {
 	proto := Protocol{Traces: 1, Invocations: 2}
 	serial, err := NNStudy(proto)

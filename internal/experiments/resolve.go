@@ -15,49 +15,35 @@ import (
 // This file is the spec → job registry: the inverse of each study's cell
 // enumeration. A sweep.Spec fully identifies a simulation cell (that is the
 // engine's determinism contract), so the cell can be reconstructed from the
-// spec alone — which is what lets a remote client submit bare specs to
-// wnserved and receive exactly the bytes a local sweep would produce. The
-// studies route their own enumerated specs through the same resolvers, so
-// the CLI path and the server path cannot drift.
+// spec alone. The studies route their own enumerated specs through these
+// resolvers, so a spec is validated before its cell runs and the cell a
+// spec names is always the one the study would have built.
 
-// resolverEntry ties an experiment name to the function that rebuilds its
-// Run closures from specs.
-type resolverEntry struct {
-	desc    string
-	resolve func(sweep.Spec) (func() (any, error), error)
+// specResolvers maps an experiment name to the function that rebuilds its
+// Run closures from specs: table1 (one cell per kernel), speedup (Figure
+// 10/11, one cell per kernel, bits, trace and input) and nn (one cell per
+// kernel, bits and input).
+var specResolvers = map[string]func(sweep.Spec) (func() (any, error), error){
+	"table1":  resolveTable1,
+	"speedup": resolveSpeedup,
+	"nn":      resolveNN,
 }
-
-var specResolvers = map[string]resolverEntry{
-	"table1":  {"Table I benchmark characterization, one cell per kernel", resolveTable1},
-	"speedup": {"Figure 10/11 intermittent speedup, one cell per (kernel, bits, trace, input)", resolveSpeedup},
-	"nn":      {"NN inference accuracy vs energy, one cell per (kernel, bits, input)", resolveNN},
-}
-
-// ResolvableExperiments lists the experiments whose specs ResolveSpec can
-// reconstruct, sorted for stable error messages and API listings.
-func ResolvableExperiments() []string {
-	names := make([]string, 0, len(specResolvers))
-	for name := range specResolvers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ExperimentDesc returns the one-line description of a resolvable
-// experiment ("" if unknown).
-func ExperimentDesc(name string) string { return specResolvers[name].desc }
 
 // ResolveSpec validates a spec against the registry and reconstructs its
 // runnable job. The returned job's Run closure is the same pure function of
 // the spec that the study itself would enumerate.
 func ResolveSpec(s sweep.Spec) (sweep.Job, error) {
-	ent, ok := specResolvers[s.Experiment]
+	resolve, ok := specResolvers[s.Experiment]
 	if !ok {
+		names := make([]string, 0, len(specResolvers))
+		for name := range specResolvers {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		return sweep.Job{}, fmt.Errorf("experiments: unresolvable experiment %q (resolvable: %s)",
-			s.Experiment, strings.Join(ResolvableExperiments(), ", "))
+			s.Experiment, strings.Join(names, ", "))
 	}
-	run, err := ent.resolve(s)
+	run, err := resolve(s)
 	if err != nil {
 		return sweep.Job{}, fmt.Errorf("experiments: %s spec: %w", s.Experiment, err)
 	}

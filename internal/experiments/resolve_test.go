@@ -75,7 +75,7 @@ func TestResolveSpeedupRoundTrip(t *testing.T) {
 }
 
 // TestResolveSpecErrors: malformed specs are rejected with messages that
-// name the problem (these become wnserved's 400 bodies).
+// name the problem.
 func TestResolveSpecErrors(t *testing.T) {
 	b := workloads.Var()
 	p := DefaultProtocol().params(b)
@@ -112,23 +112,5 @@ func TestResolveSpecErrors(t *testing.T) {
 	}
 	if _, err := ResolveSpec(Table1Specs(DefaultProtocol())[0]); err != nil {
 		t.Errorf("valid table1 spec rejected: %v", err)
-	}
-}
-
-// TestResolvableExperiments: the registry lists its experiments sorted.
-func TestResolvableExperiments(t *testing.T) {
-	names := ResolvableExperiments()
-	if len(names) < 2 {
-		t.Fatalf("registry too small: %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("names not sorted: %v", names)
-		}
-	}
-	for _, n := range names {
-		if ExperimentDesc(n) == "" {
-			t.Errorf("experiment %s has no description", n)
-		}
 	}
 }

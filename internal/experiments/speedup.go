@@ -75,8 +75,7 @@ func SpeedupStudy(proc core.Processor, proto Protocol) ([]SpeedupRow, error) {
 }
 
 // speedupSpec names one (trace, invocation) cell. Every knob the cell
-// depends on is a spec field or param, so ResolveSpec can rebuild it — the
-// same spec a remote client would submit.
+// depends on is a spec field or param, so ResolveSpec can rebuild it.
 func speedupSpec(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, traceSeed, inputSeed int64) sweep.Spec {
 	return sweep.Spec{
 		Experiment: "speedup",
@@ -91,8 +90,8 @@ func speedupSpec(proc core.Processor, b *workloads.Benchmark, p workloads.Params
 }
 
 // speedupJobs enumerates the (trace, invocation) cells of one bar pair,
-// routing each spec through the resolver registry so the CLI runs exactly
-// the closures a server would reconstruct.
+// routing each spec through the resolver registry so every cell runs the
+// closure its spec names.
 func speedupJobs(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, proto Protocol) ([]sweep.Job, error) {
 	var jobs []sweep.Job
 	for t := 0; t < proto.Traces; t++ {

@@ -23,7 +23,7 @@ type Table1Row struct {
 }
 
 // Table1Specs enumerates the study's cells — one per benchmark — as bare
-// specs, the form a remote client submits to wnserved.
+// specs, which ResolveSpecs turns back into runnable jobs.
 func Table1Specs(proto Protocol) []sweep.Spec {
 	var specs []sweep.Spec
 	for _, b := range workloads.All() {
@@ -39,9 +39,9 @@ func Table1Specs(proto Protocol) []sweep.Spec {
 	return specs
 }
 
-// Table1 measures every benchmark's precise build through the sweep engine
-// (or a remote runner). Amenable instructions are those the compiler marked
-// as targets for subword pipelining or vectorization.
+// Table1 measures every benchmark's precise build through the sweep engine.
+// Amenable instructions are those the compiler marked as targets for
+// subword pipelining or vectorization.
 func Table1(proto Protocol) ([]Table1Row, error) {
 	jobs, err := ResolveSpecs(Table1Specs(proto))
 	if err != nil {
@@ -69,7 +69,7 @@ func runTable1Cell(b *workloads.Benchmark, p workloads.Params) (Table1Row, error
 	cp.SetAmenablePCs(c.Program.Amenable)
 	var cycles uint64
 	for !cp.Halted {
-		res, err := runWindow(cp, 1<<62)
+		res, err := cp.Run(1<<62, nil)
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("%s fault: %w", b.Name, err)
 		}

@@ -8,8 +8,8 @@
 // themselves rather than in separate NVM progress words.
 //
 // The family registers itself with the workloads ByName registry from
-// init, so the sweep resolvers, wnserved, and wncluster can serve NN specs
-// unchanged.
+// init, so the sweep resolvers and wnsim's -bench flag find the NN kernels
+// by name unchanged.
 package nn
 
 import (

@@ -69,7 +69,7 @@ func assertEqual(t *testing.T, label string, got, want []float64) {
 
 // TestRegistered checks the init-time extension registration: every NN
 // benchmark must resolve through the workloads registry, which is what
-// lets the sweep resolvers and wnserved serve NN specs.
+// lets the sweep resolvers rebuild NN specs.
 func TestRegistered(t *testing.T) {
 	for _, b := range nn.All() {
 		got, err := workloads.ByName(b.Name)

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,74 +17,31 @@ type Cache interface {
 	Put(key string, val []byte) error
 }
 
-// EvictionCounter is implemented by caches that drop entries to stay under
-// a size bound; the engine folds the count into its Metrics snapshot.
-type EvictionCounter interface {
-	Evictions() int64
-}
-
 // MemoryCache is an in-process result cache. It makes repeated sweeps in
 // one run (e.g. the same precise baseline appearing in several studies)
-// free, and backs the read path of the disk cache. With a positive entry
-// cap it evicts least-recently-used entries, which is what keeps a
-// resident server's heap bounded across an unbounded job stream; the
-// default (no cap) preserves the CLI behaviour where a single run's
-// working set is the right lifetime.
+// free, and backs the read path of the disk cache. It is unbounded: a
+// single run's working set is the right lifetime.
 type MemoryCache struct {
-	mu        sync.Mutex
-	max       int // 0 = unbounded
-	m         map[string]*list.Element
-	ll        *list.List // front = most recently used
-	evictions atomic.Int64
+	mu sync.Mutex
+	m  map[string][]byte
 }
 
-// memEntry is the list payload: the key is carried so eviction of the back
-// element can delete its map slot.
-type memEntry struct {
-	key string
-	val []byte
-}
+// NewMemoryCache returns an empty in-memory cache.
+func NewMemoryCache() *MemoryCache { return &MemoryCache{m: make(map[string][]byte)} }
 
-// NewMemoryCache returns an empty, unbounded in-memory cache.
-func NewMemoryCache() *MemoryCache { return NewMemoryCacheSize(0) }
-
-// NewMemoryCacheSize returns an in-memory cache holding at most max entries
-// (LRU eviction); max <= 0 means unbounded.
-func NewMemoryCacheSize(max int) *MemoryCache {
-	if max < 0 {
-		max = 0
-	}
-	return &MemoryCache{max: max, m: make(map[string]*list.Element), ll: list.New()}
-}
-
-// Get returns the cached bytes for key, marking it most recently used.
+// Get returns the cached bytes for key.
 func (c *MemoryCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*memEntry).val, true
+	v, ok := c.m[key]
+	return v, ok
 }
 
 // Put stores val under key. The caller must not mutate val afterwards.
 func (c *MemoryCache) Put(key string, val []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*memEntry).val = val
-		c.ll.MoveToFront(el)
-		return nil
-	}
-	c.m[key] = c.ll.PushFront(&memEntry{key: key, val: val})
-	if c.max > 0 && c.ll.Len() > c.max {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.m, back.Value.(*memEntry).key)
-		c.evictions.Add(1)
-	}
+	c.m[key] = val
 	return nil
 }
 
@@ -96,9 +52,6 @@ func (c *MemoryCache) Len() int {
 	return len(c.m)
 }
 
-// Evictions reports how many entries the cap has dropped.
-func (c *MemoryCache) Evictions() int64 { return c.evictions.Load() }
-
 // DiskCache persists results as one JSON file per spec hash in a directory,
 // with an in-memory layer in front, so a second wnbench run against the same
 // -cache directory skips every already-simulated cell.
@@ -108,30 +61,30 @@ type DiskCache struct {
 	seq atomic.Int64 // unique temp-file suffix for atomic writes
 }
 
-// NewDiskCache opens (creating if needed) a cache directory with an
-// unbounded memory layer.
+// NewDiskCache opens (creating if needed) a cache directory.
 func NewDiskCache(dir string) (*DiskCache, error) {
-	return NewDiskCacheSize(dir, 0)
-}
-
-// NewDiskCacheSize opens a cache directory whose in-memory layer holds at
-// most maxMem entries (<= 0 for unbounded). Disk entries are never evicted;
-// a memory miss just re-reads the file.
-func NewDiskCacheSize(dir string, maxMem int) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
-	return &DiskCache{dir: dir, mem: NewMemoryCacheSize(maxMem)}, nil
+	return &DiskCache{dir: dir, mem: NewMemoryCache()}, nil
 }
 
 // Dir returns the backing directory.
 func (c *DiskCache) Dir() string { return c.dir }
 
-// Evictions reports the memory layer's eviction count.
-func (c *DiskCache) Evictions() int64 { return c.mem.Evictions() }
-
-// validKey guards the filesystem against keys that are not spec hashes.
-func validKey(key string) bool { return ValidCacheKey(key) }
+// validCacheKey reports whether key has the shape of a spec hash (lowercase
+// hex SHA-256), guarding the filesystem against arbitrary keys.
+func validCacheKey(key string) bool {
+	if len(key) != 2*32 {
+		return false
+	}
+	for _, r := range key {
+		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
@@ -142,7 +95,7 @@ func (c *DiskCache) Get(key string) ([]byte, bool) {
 	if v, ok := c.mem.Get(key); ok {
 		return v, true
 	}
-	if !validKey(key) {
+	if !validCacheKey(key) {
 		return nil, false
 	}
 	b, err := os.ReadFile(c.path(key))
@@ -157,7 +110,7 @@ func (c *DiskCache) Get(key string) ([]byte, bool) {
 // temp-file rename, so a crashed run never leaves a torn entry).
 func (c *DiskCache) Put(key string, val []byte) error {
 	c.mem.Put(key, val)
-	if !validKey(key) {
+	if !validCacheKey(key) {
 		return fmt.Errorf("sweep: invalid cache key %q", key)
 	}
 	tmp := filepath.Join(c.dir, fmt.Sprintf(".tmp-%d-%d", os.Getpid(), c.seq.Add(1)))

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,9 +11,9 @@ import (
 )
 
 // Runner abstracts "run these jobs, return their encoded results in
-// submission order". Engine implements it locally; internal/serve's Client
-// implements it against a remote wnserved instance, which is how the same
-// study code can execute on a shared simulation server.
+// submission order". Engine implements it; a caller that wants to observe
+// or wrap each study's jobs (a tracing benchmark harness, say) installs its
+// own Runner on the experiment protocol.
 type Runner interface {
 	Run(jobs []Job) ([]json.RawMessage, error)
 }
@@ -59,16 +58,8 @@ func Serial() *Engine { return New(Options{Workers: 1}) }
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Metrics snapshots the engine's lifetime counters. When the configured
-// cache reports evictions (a bounded MemoryCache or a DiskCache over one),
-// the snapshot includes them.
-func (e *Engine) Metrics() Metrics {
-	m := e.m.snapshot()
-	if ec, ok := e.cache.(EvictionCounter); ok {
-		m.CacheEvictions = ec.Evictions()
-	}
-	return m
-}
+// Metrics snapshots the engine's lifetime counters.
+func (e *Engine) Metrics() Metrics { return e.m.snapshot() }
 
 // errSkipped marks jobs abandoned because an earlier job failed; it is
 // never surfaced to callers.
@@ -80,20 +71,9 @@ var errSkipped = errors.New("sweep: skipped after earlier failure")
 // first job error the remaining queue is drained without simulating and the
 // error is returned (wrapped with the job's spec label).
 func (e *Engine) Run(jobs []Job) ([]json.RawMessage, error) {
-	return e.RunContext(context.Background(), jobs)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled (or its
-// deadline passes) the jobs not yet started are marked skipped without
-// simulating, in-flight jobs finish their current cell, and ctx.Err() is
-// returned. Cancellation granularity is one job — a Run closure is never
-// interrupted mid-simulation, so a cached or returned result is always a
-// complete one. This is what gives a resident server per-request deadlines
-// and drain-on-shutdown.
-func (e *Engine) RunContext(ctx context.Context, jobs []Job) ([]json.RawMessage, error) {
 	n := len(jobs)
 	if n == 0 {
-		return nil, ctx.Err()
+		return nil, nil
 	}
 	e.m.submitted.Add(int64(n))
 	e.m.enqueue(int64(n))
@@ -114,7 +94,7 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job) ([]json.RawMessage,
 			defer wg.Done()
 			for i := range idx {
 				e.m.queueDepth.Add(-1)
-				if aborted.Load() || ctx.Err() != nil {
+				if aborted.Load() {
 					errs[i] = errSkipped
 					e.m.done.Add(1)
 					continue
@@ -129,7 +109,6 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job) ([]json.RawMessage,
 				done := e.m.done.Add(1)
 				e.notify(Progress{
 					Spec:      jobs[i].Spec,
-					Index:     i,
 					CacheHit:  hit,
 					Err:       err,
 					Wall:      wall,
@@ -146,9 +125,6 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job) ([]json.RawMessage,
 	close(idx)
 	wg.Wait()
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	// Report the lowest-index real failure so the error is stable-ish and
 	// names the cell that actually broke.
 	for i, err := range errs {

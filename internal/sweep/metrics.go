@@ -41,9 +41,6 @@ type Metrics struct {
 	CacheHits, CacheMisses int64
 	// CachePutErrors counts best-effort persistence failures.
 	CachePutErrors int64
-	// CacheEvictions counts entries dropped by a bounded memory cache to
-	// stay under its entry cap (zero for unbounded caches).
-	CacheEvictions int64
 	// Errors counts jobs whose Run returned an error.
 	Errors int64
 	// QueueDepth is the current number of submitted-but-unstarted jobs;
@@ -85,10 +82,6 @@ func (m Metrics) String() string {
 type Progress struct {
 	// Spec identifies the job that just finished.
 	Spec Spec
-	// Index is the job's position in the slice handed to the Run call it
-	// belongs to, letting stream consumers reassemble submission order from
-	// completion-ordered events.
-	Index int
 	// CacheHit reports that the result was served from the cache.
 	CacheHit bool
 	// Err is the job's error, if it failed.

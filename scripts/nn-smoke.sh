@@ -6,24 +6,17 @@
 #    The embedded image's certificate must round-trip byte-stably.
 # 2. Runs a strided power-failure injection campaign over the emitted NN
 #    images through wnlint's injector.
-# 3. Runs the accuracy-vs-energy study on 1 worker, 8 workers, and remotely
-#    against a live wnserved instance; all three outputs must be
-#    byte-identical (the sweep determinism contract).
+# 3. Runs the accuracy-vs-energy study on 1 worker and on 8 workers; the
+#    two outputs must be byte-identical (the sweep determinism contract).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
+trap 'rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/wnsim" ./cmd/wnsim
 go build -o "$workdir/wnlint" ./cmd/wnlint
 go build -o "$workdir/wnbench" ./cmd/wnbench
-go build -o "$workdir/wnserved" ./cmd/wnserved
 
 echo "nn-smoke: emitting reduced NN conv images (plain precise, embedded swp p1)"
 "$workdir/wnsim" -bench NNConv -mode precise -dump-asm >"$workdir/nnconv_plain.s"
@@ -45,33 +38,6 @@ echo "nn-smoke: accuracy-vs-energy study, 1 vs 8 workers must match"
 "$workdir/wnbench" -exp nn -parallel 8 >"$workdir/nn-parallel.txt"
 if ! diff -u "$workdir/nn-serial.txt" "$workdir/nn-parallel.txt"; then
     echo "nn-smoke: 1-worker and 8-worker study outputs differ"
-    exit 1
-fi
-
-"$workdir/wnserved" -addr 127.0.0.1:0 -quiet >"$workdir/serve.out" 2>&1 &
-server_pid=$!
-deadline=$(($(date +%s) + 10))
-url=""
-while [ "$(date +%s)" -lt "$deadline" ]; do
-    url=$(sed -n 's/^wnserved: listening on //p' "$workdir/serve.out")
-    [ -n "$url" ] && break
-    if ! kill -0 "$server_pid" 2>/dev/null; then
-        echo "nn-smoke: wnserved exited before announcing its port" >&2
-        cat "$workdir/serve.out" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [ -z "$url" ]; then
-    echo "nn-smoke: wnserved never announced its port within 10s" >&2
-    cat "$workdir/serve.out" >&2
-    exit 1
-fi
-
-echo "nn-smoke: remote study via $url must match the local run"
-"$workdir/wnbench" -exp nn -remote "$url" >"$workdir/nn-remote.txt"
-if ! diff -u "$workdir/nn-serial.txt" "$workdir/nn-remote.txt"; then
-    echo "nn-smoke: remote study output differs from local run"
     exit 1
 fi
 
