@@ -260,7 +260,7 @@ func inject(file string, p *asm.Program, points int, quiet bool) (bool, error) {
 	target := faultinject.FromProgram(file, p)
 	diverged := false
 	for _, mk := range policies {
-		rep, err := faultinject.Run(target, faultinject.Config{Policy: mk},
+		rep, err := faultinject.RunLockstep(target, faultinject.Config{Policy: mk},
 			faultinject.Schedule{Points: points})
 		if err != nil {
 			return false, fmt.Errorf("%s: fault injection: %w", file, err)

@@ -6,15 +6,14 @@ import (
 
 	"whatsnext/internal/asm"
 	"whatsnext/internal/cpu"
-	"whatsnext/internal/energy"
-	"whatsnext/internal/intermittent"
 	"whatsnext/internal/mem"
 )
 
 // The testdata program is the paper's Listing 2 shape written by hand. The
-// integration tests run it three ways: continuously to exact completion,
-// truncated at the skim point for the approximate result, and under
-// injected outages where the skim point must commit the early answer.
+// integration tests run it continuously to exact completion and truncated
+// at the skim point for the approximate result. The third way, under
+// injected outages where the skim point must commit the early answer, is
+// TestDotprodSkimUnderOutages in internal/intermittent.
 
 func loadDotprod(t *testing.T) *asm.Program {
 	t.Helper()
@@ -97,41 +96,5 @@ func TestDotprodApproxAtSkim(t *testing.T) {
 	}
 	if rel := float64(exact-got) / float64(exact); rel < 0 || rel > 0.01 {
 		t.Fatalf("MS pass should be within 1%% of exact, off by %.3f%%", 100*rel)
-	}
-}
-
-func TestDotprodSkimUnderOutages(t *testing.T) {
-	p := loadDotprod(t)
-	m := mem.New(mem.DefaultConfig())
-	if err := m.LoadProgram(p.Image); err != nil {
-		t.Fatal(err)
-	}
-	_, _, exact := installDotprodInputs(t, m)
-	c := cpu.New(m)
-	s := energy.NewSupply(energy.DefaultDeviceConfig(), energy.ConstantTrace(5e-3, 1000, 100))
-	r := intermittent.NewRunner(c, m, s, intermittent.NewClank(intermittent.DefaultClankConfig()))
-	// Force an outage shortly after the skim point arms.
-	armed := false
-	extra := 0
-	r.OnProgress = func(uint64) {
-		if c.SkimArmed && !armed {
-			armed = true
-		}
-		if armed {
-			if extra++; extra == 5 {
-				s.ForceOutage()
-			}
-		}
-	}
-	res, err := r.RunToHalt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.SkimTaken {
-		t.Fatal("the forced outage after the skim point should have skimmed")
-	}
-	got, _ := m.LoadWord(mem.DataBase + 32)
-	if got == 0 || got > exact {
-		t.Fatalf("skimmed X = %d, want a positive under-approximation of %d", got, exact)
 	}
 }

@@ -21,7 +21,7 @@ const (
 	StopStore
 	// StopSkim: an SKM instruction just executed. Callers that react to
 	// skim-point arming (anytime harnesses) see it at the exact instruction
-	// boundary the reference path would.
+	// boundary that armed it.
 	StopSkim
 	// StopFault: execution faulted; the accompanying error has the cause.
 	StopFault
@@ -40,27 +40,29 @@ type BatchResult struct {
 // instruction that reaches its budget, so it overshoots by less than this.
 const MaxInstrCycles = 16
 
-// RunUntil is the batched fast path: it executes instructions in a tight
-// loop — no per-step call overhead — until the accumulated cycle count
-// reaches budget, the program halts or faults, an SKM arms the skim
+// RunUntil is the per-instruction interpreter: it executes instructions in
+// a tight loop — no per-step call overhead — until the accumulated cycle
+// count reaches budget, the program halts or faults, an SKM arms the skim
 // register, or (when a BeforeStore hook is installed) the next instruction
-// would store into the non-volatile data region. Architectural state,
-// Stats, and memory evolve exactly as under repeated Step calls; when costs
-// is non-nil every instruction's Cost is appended so the caller can replay
-// energy accounting per instruction.
+// would store into the non-volatile data region. When costs is non-nil
+// every instruction's Cost is appended so the caller can replay energy
+// accounting per instruction.
 //
-// The hook contract differs from Step by design: RunUntil never calls
-// BeforeStore. It returns StopStore *before* the store executes, and the
-// caller runs that one instruction through Step. Stores outside the NV data
-// region execute inline without the hook — the runtimes in
-// internal/intermittent only act on NV-data stores, so runtime-visible
-// behavior is identical.
-// The interpreter switch below mirrors (*CPU).execute case for case. It is
-// duplicated rather than shared because the call overhead of execute is the
-// single largest per-instruction cost once decode is cached; the
-// differential tests in internal/cpu and internal/experiments pin the two
-// paths to identical architectural state, Stats, and cycle counts.
+// RunUntil never calls BeforeStore. It returns StopStore *before* an
+// NV-data store executes, and the caller runs that one instruction through
+// Step, which calls the hook. Stores outside the NV data region execute
+// inline without the hook — the runtimes in internal/intermittent only act
+// on NV-data stores, so runtime-visible behavior is the same as calling the
+// hook on every store. The differential tests check this loop against an
+// independent reference interpreter kept in the tests.
 func (c *CPU) RunUntil(budget uint64, costs *[]Cost) (BatchResult, error) {
+	return c.runUntil(budget, costs, c.BeforeStore != nil)
+}
+
+// runUntil is RunUntil with the StopStore gate explicit: stopStores stops
+// ahead of NV-data stores. Step passes false, having called the hook
+// itself.
+func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool) (BatchResult, error) {
 	var res BatchResult
 	if c.Halted {
 		res.Reason = StopHalt
@@ -73,7 +75,6 @@ func (c *CPU) RunUntil(budget uint64, costs *[]Cost) (BatchResult, error) {
 
 	var (
 		cache = c.decodeCache
-		hook  = c.BeforeStore != nil
 		memo  = c.Memo != nil
 		m     = c.Mem
 		regs  = &c.Regs
@@ -107,7 +108,7 @@ func (c *CPU) RunUntil(budget uint64, costs *[]Cost) (BatchResult, error) {
 			reason = StopFault
 			break
 		}
-		if hook && op.IsStore() {
+		if stopStores && op.IsStore() {
 			if addr := c.effAddr(in); addr >= mem.DataBase && addr < dataEnd {
 				reason = StopStore
 				break

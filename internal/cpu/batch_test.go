@@ -8,8 +8,8 @@ import (
 	"whatsnext/internal/mem"
 )
 
-// diffPrograms exercises every interpreter path the batched loop duplicates
-// from execute: ALU ops, flags, all load/store widths (immediate and
+// diffPrograms exercises every interpreter path of RunUntil's loop and the
+// reference execute: ALU ops, flags, all load/store widths (immediate and
 // register offset), multiplies, SWAR vector ops, branches, calls, and SKM.
 var diffPrograms = map[string]string{
 	"mixed-loop": `
@@ -74,9 +74,21 @@ func newDiffPair(t *testing.T, src string) (ref, bat *CPU, refM, batM *mem.Memor
 	return ref, bat, refM, batM
 }
 
-// stepRef runs the reference per-instruction loop until halt or fault,
-// returning the total cycles, the per-instruction costs, and any fault.
+// stepRef runs the reference interpreter until halt or fault, returning the
+// total cycles, the per-instruction costs, and any fault.
 func stepRef(t *testing.T, c *CPU) (uint64, []Cost, error) {
+	t.Helper()
+	return stepAll(t, c, c.refStep)
+}
+
+// stepProd is stepRef through the production Step.
+func stepProd(t *testing.T, c *CPU) (uint64, []Cost, error) {
+	t.Helper()
+	return stepAll(t, c, c.Step)
+}
+
+// stepAll calls step until c halts or faults.
+func stepAll(t *testing.T, c *CPU, step func() (Cost, error)) (uint64, []Cost, error) {
 	t.Helper()
 	var (
 		cycles uint64
@@ -84,9 +96,9 @@ func stepRef(t *testing.T, c *CPU) (uint64, []Cost, error) {
 	)
 	for i := 0; !c.Halted; i++ {
 		if i > 1_000_000 {
-			t.Fatal("runaway reference program")
+			t.Fatal("runaway stepped program")
 		}
-		cost, err := c.Step()
+		cost, err := step()
 		if err != nil {
 			return cycles, costs, err
 		}
@@ -158,29 +170,36 @@ func assertSameState(t *testing.T, ref, bat *CPU, refM, batM *mem.Memory) {
 }
 
 // TestRunUntilMatchesStep is the instruction-level differential: every
-// program runs to halt through Step and through RunUntil at several window
-// sizes (including budget=1, which forces a window per instruction), and
-// all architectural state, statistics, cycle counts, and per-instruction
-// cost streams must be identical.
+// program runs to halt through the reference interpreter, through Step, and
+// through RunUntil at several window sizes (including budget=1, which
+// forces a window per instruction), and all architectural state,
+// statistics, cycle counts, and per-instruction cost streams must be
+// identical.
 func TestRunUntilMatchesStep(t *testing.T) {
 	budgets := []uint64{1, 7, 64, 1 << 62}
 	for name, src := range diffPrograms {
 		for _, budget := range budgets {
 			t.Run(name, func(t *testing.T) {
 				ref, bat, refM, batM := newDiffPair(t, src)
+				stp, stpM := device(t, src)
 				refCycles, refCosts, refErr := stepRef(t, ref)
 				batCycles, batCosts, batErr := runBatched(t, bat, budget)
-				if refErr != nil || batErr != nil {
-					t.Fatalf("unexpected faults: ref %v bat %v", refErr, batErr)
+				stpCycles, stpCosts, stpErr := stepProd(t, stp)
+				if refErr != nil || batErr != nil || stpErr != nil {
+					t.Fatalf("unexpected faults: ref %v bat %v step %v", refErr, batErr, stpErr)
 				}
-				if refCycles != batCycles {
-					t.Errorf("budget %d: cycles diverge: ref %d bat %d", budget, refCycles, batCycles)
+				if refCycles != batCycles || refCycles != stpCycles {
+					t.Errorf("budget %d: cycles diverge: ref %d bat %d step %d", budget, refCycles, batCycles, stpCycles)
 				}
 				if !reflect.DeepEqual(refCosts, batCosts) {
 					t.Errorf("budget %d: cost streams diverge (%d vs %d entries)",
 						budget, len(refCosts), len(batCosts))
 				}
+				if !reflect.DeepEqual(refCosts, stpCosts) {
+					t.Errorf("cost streams diverge: ref %d entries step %d", len(refCosts), len(stpCosts))
+				}
 				assertSameState(t, ref, bat, refM, batM)
+				assertSameState(t, ref, stp, refM, stpM)
 			})
 		}
 	}
@@ -209,7 +228,7 @@ func TestRunUntilAmenableCounting(t *testing.T) {
 // TestRunUntilStoreHook verifies the StopStore contract: with a BeforeStore
 // hook installed, RunUntil must stop before every NV-data store so the
 // caller can route it through Step, and the hook must observe the same
-// sequence of (pc, addr) pairs as the reference loop.
+// sequence of (addr, size) pairs as under the reference interpreter.
 func TestRunUntilStoreHook(t *testing.T) {
 	src := diffPrograms["mixed-loop"]
 	type storeEvt struct {

@@ -34,8 +34,9 @@ type Stats struct {
 
 // CPU is the simulated core. It executes decoded instructions against a
 // Memory under the M0+ cost model. The intermittent runtimes drive it
-// through Step (one instruction, full hook fidelity) or RunUntil (the
-// batched fast path), paying the returned Cost into the energy supply.
+// through Run (superblocks, deoptimizing to RunUntil's interpreter) and
+// Step (one instruction through the same interpreter, with the BeforeStore
+// hook), paying the returned Cost into the energy supply.
 type CPU struct {
 	Regs [isa.NumRegs]uint32
 	// Condition flags, set only by CMP/CMPI.
@@ -54,12 +55,12 @@ type CPU struct {
 	// Nil disables memoization (the paper's default configuration).
 	Memo *MemoTable
 
-	// BeforeStore, when non-nil, runs before every data store with the
-	// target address and size. The Clank runtime uses it to checkpoint
-	// ahead of idempotency-violating writes. The batched RunUntil path
-	// never invokes it: it stops ahead of any store into the non-volatile
-	// data region instead, so the caller can take the slow per-step path
-	// around exactly those stores.
+	// BeforeStore, when non-nil, runs before every data store Step
+	// executes, with the target address and size. The Clank runtime uses
+	// it to checkpoint ahead of idempotency-violating writes. Run and
+	// RunUntil never invoke it: they stop ahead of any store into the
+	// non-volatile data region instead, so the caller can Step exactly
+	// those stores.
 	BeforeStore func(addr uint32, size int)
 
 	Stats Stats
@@ -68,11 +69,6 @@ type CPU struct {
 	// (PC-CodeBase)/InstBytes — a single shifted load per executed
 	// instruction instead of a map probe.
 	amenable []uint64
-
-	// Backend selects the batched executor Run dispatches to. The zero
-	// value is BackendSuper: translated superblocks with deopt to the
-	// per-instruction path. BackendBatch forces the PR 3 interpreter.
-	Backend Backend
 
 	decodeCache []decoded     // lazily built per program image
 	decodeErrs  map[int]error // slot -> original isa.Decode failure
@@ -294,192 +290,30 @@ func (c *CPU) condTrue(op isa.Opcode) bool {
 	return true
 }
 
-// Step executes one instruction. It returns the cost of the instruction and
-// a non-nil error on a fault (illegal instruction, bad memory access). A
-// halted CPU returns a zero cost.
+// Step executes one instruction through RunUntil's interpreter. It returns
+// the cost of the instruction and a non-nil error on a fault (illegal
+// instruction, bad memory access). A halted CPU returns a zero cost.
+//
+// Unlike RunUntil, Step never stops ahead of a store: it calls BeforeStore
+// with the target address and width of every data store, NV or not, before
+// the store executes.
 func (c *CPU) Step() (Cost, error) {
-	if c.Halted {
-		return Cost{}, nil
+	if c.BeforeStore != nil && !c.Halted {
+		// A decode failure is left for runUntil, which reports it.
+		if in, err := c.decodeAt(c.Regs[isa.PC]); err == nil && in.Op.IsStore() {
+			c.BeforeStore(c.effAddr(in), in.Op.AccessBytes())
+		}
 	}
-	pc := c.Regs[isa.PC]
-	in, err := c.decodeAt(pc)
+	nv := c.Mem.NVWrites
+	res, err := c.runUntil(1, nil, false)
 	if err != nil {
 		return Cost{}, err
 	}
-	if c.amenableAt(pc) {
-		c.Stats.AmenableOps++
-	}
-
-	nvBefore := c.Mem.NVWrites
-	nextPC, cycles, err := c.execute(in, pc, true)
-	if err != nil {
-		return Cost{}, err
-	}
-	c.Regs[isa.PC] = nextPC
-
-	cost := Cost{Cycles: cycles, NVWrites: int(c.Mem.NVWrites - nvBefore)}
-	if in.Op == isa.OpSkm {
+	cost := Cost{Cycles: uint32(res.Cycles), NVWrites: int(c.Mem.NVWrites - nv)}
+	if res.Reason == StopSkim {
 		cost.NVWrites++ // the skim register is non-volatile
 	}
-	c.Stats.Instructions++
-	c.Stats.Cycles += uint64(cycles)
-	c.Stats.OpCount[in.Op]++
 	return cost, nil
-}
-
-// execute interprets one decoded instruction at pc and returns the next PC
-// and the cycle cost. It does not advance PC or update Stats — Step and the
-// batched RunUntil share it and layer their own bookkeeping on top.
-// callHook gates the BeforeStore callback: Step passes true; RunUntil
-// passes false because it already stopped ahead of any store the hook needs
-// to observe.
-func (c *CPU) execute(in isa.Instruction, pc uint32, callHook bool) (uint32, uint32, error) {
-	cycles := in.Op.BaseCycles()
-	nextPC := pc + isa.InstBytes
-	var err error
-
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpHalt:
-		c.Halted = true
-		nextPC = pc
-
-	case isa.OpMov:
-		c.Regs[in.Rd] = c.Regs[in.Rm]
-	case isa.OpMovI:
-		c.Regs[in.Rd] = uint32(in.Imm)
-	case isa.OpMovTI:
-		c.Regs[in.Rd] = c.Regs[in.Rd]&0xFFFF | uint32(in.Imm)<<16
-
-	case isa.OpAdd:
-		c.Regs[in.Rd] = c.Regs[in.Rn] + c.Regs[in.Rm]
-	case isa.OpAddI:
-		c.Regs[in.Rd] = c.Regs[in.Rn] + uint32(in.Imm)
-	case isa.OpSub:
-		c.Regs[in.Rd] = c.Regs[in.Rn] - c.Regs[in.Rm]
-	case isa.OpSubI:
-		c.Regs[in.Rd] = c.Regs[in.Rn] - uint32(in.Imm)
-	case isa.OpAnd:
-		c.Regs[in.Rd] = c.Regs[in.Rn] & c.Regs[in.Rm]
-	case isa.OpAndI:
-		c.Regs[in.Rd] = c.Regs[in.Rn] & uint32(in.Imm)
-	case isa.OpOrr:
-		c.Regs[in.Rd] = c.Regs[in.Rn] | c.Regs[in.Rm]
-	case isa.OpOrrI:
-		c.Regs[in.Rd] = c.Regs[in.Rn] | uint32(in.Imm)
-	case isa.OpEor:
-		c.Regs[in.Rd] = c.Regs[in.Rn] ^ c.Regs[in.Rm]
-	case isa.OpEorI:
-		c.Regs[in.Rd] = c.Regs[in.Rn] ^ uint32(in.Imm)
-	case isa.OpLsl:
-		c.Regs[in.Rd] = shiftL(c.Regs[in.Rn], c.Regs[in.Rm])
-	case isa.OpLslI:
-		c.Regs[in.Rd] = shiftL(c.Regs[in.Rn], uint32(in.Imm))
-	case isa.OpLsr:
-		c.Regs[in.Rd] = shiftR(c.Regs[in.Rn], c.Regs[in.Rm])
-	case isa.OpLsrI:
-		c.Regs[in.Rd] = shiftR(c.Regs[in.Rn], uint32(in.Imm))
-	case isa.OpAsr:
-		c.Regs[in.Rd] = shiftAR(c.Regs[in.Rn], c.Regs[in.Rm])
-	case isa.OpAsrI:
-		c.Regs[in.Rd] = shiftAR(c.Regs[in.Rn], uint32(in.Imm))
-
-	case isa.OpCmp:
-		c.setFlagsSub(c.Regs[in.Rn], c.Regs[in.Rm])
-	case isa.OpCmpI:
-		c.setFlagsSub(c.Regs[in.Rn], uint32(in.Imm))
-	case isa.OpSubIS:
-		a := c.Regs[in.Rn]
-		c.setFlagsSub(a, uint32(in.Imm))
-		c.Regs[in.Rd] = a - uint32(in.Imm)
-
-	case isa.OpMul:
-		a, b := c.Regs[in.Rn], c.Regs[in.Rm]
-		prod, fast := c.mulWithMemo(a, b)
-		if fast {
-			cycles = 1
-		}
-		c.Regs[in.Rd] = prod
-
-	case isa.OpMulASP1, isa.OpMulASP2, isa.OpMulASP3, isa.OpMulASP4, isa.OpMulASP8:
-		// Rd = (Rd * Rm) << (bits * pos). Rm holds the subword value; the
-		// iterative multiplier runs only `bits` steps.
-		bits := in.Op.ASPBits()
-		a, b := c.Regs[in.Rd], c.Regs[in.Rm]
-		prod, fast := c.mulWithMemo(a, b)
-		if fast {
-			cycles = 1
-		}
-		c.Regs[in.Rd] = shiftL(prod, uint32(bits)*uint32(in.Imm))
-
-	case isa.OpAddASV4, isa.OpAddASV8, isa.OpAddASV16:
-		c.Regs[in.Rd] = AddASV(c.Regs[in.Rd], c.Regs[in.Rm], in.Op.ASVLane())
-	case isa.OpSubASV4, isa.OpSubASV8, isa.OpSubASV16:
-		c.Regs[in.Rd] = SubASV(c.Regs[in.Rd], c.Regs[in.Rm], in.Op.ASVLane())
-
-	case isa.OpLdr, isa.OpLdrh, isa.OpLdrb, isa.OpLdrX, isa.OpLdrhX, isa.OpLdrbX:
-		addr := c.effAddr(in)
-		var v uint32
-		switch in.Op {
-		case isa.OpLdr, isa.OpLdrX:
-			v, err = c.Mem.LoadWord(addr)
-		case isa.OpLdrh, isa.OpLdrhX:
-			v, err = c.Mem.LoadHalf(addr)
-		default:
-			v, err = c.Mem.LoadByte(addr)
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		c.Regs[in.Rd] = v
-
-	case isa.OpStr, isa.OpStrh, isa.OpStrb, isa.OpStrX, isa.OpStrhX, isa.OpStrbX:
-		addr := c.effAddr(in)
-		size := 4
-		switch in.Op {
-		case isa.OpStrh, isa.OpStrhX:
-			size = 2
-		case isa.OpStrb, isa.OpStrbX:
-			size = 1
-		}
-		if callHook && c.BeforeStore != nil {
-			c.BeforeStore(addr, size)
-		}
-		switch size {
-		case 4:
-			err = c.Mem.StoreWord(addr, c.Regs[in.Rd])
-		case 2:
-			err = c.Mem.StoreHalf(addr, c.Regs[in.Rd])
-		default:
-			err = c.Mem.StoreByte(addr, c.Regs[in.Rd])
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-
-	case isa.OpB:
-		nextPC = pc + uint32(in.Imm)
-	case isa.OpBl:
-		c.Regs[isa.LR] = pc + isa.InstBytes
-		nextPC = pc + uint32(in.Imm)
-	case isa.OpBx:
-		nextPC = c.Regs[in.Rm]
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBgt, isa.OpBle, isa.OpBlo, isa.OpBhs:
-		if c.condTrue(in.Op) {
-			nextPC = pc + uint32(in.Imm)
-			cycles++ // pipeline refill on a taken branch
-		}
-
-	case isa.OpSkm:
-		c.SkimTarget = uint32(in.Imm)
-		c.SkimArmed = true
-		// The caller accounts the skim register's NV write.
-
-	default:
-		return 0, 0, fmt.Errorf("cpu: unimplemented opcode %s at %#08x", in.Op.Name(), pc)
-	}
-
-	return nextPC, cycles, nil
 }
 
 // mulWithMemo computes a*b through zero skipping and the memo table when

@@ -99,7 +99,7 @@ func BenchmarkSuperLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Reset()
 		for !c.Halted {
-			res, err := c.RunSuper(1<<62, nil)
+			res, err := c.Run(1<<62, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,32 +6,6 @@ import (
 	"whatsnext/internal/wncheck"
 )
 
-// Backend selects the batched executor implementation behind Run.
-type Backend uint8
-
-const (
-	// BackendSuper (the zero value, so it is the default) executes fused
-	// superblock closures and deoptimizes to RunUntil at every boundary the
-	// runtimes observe: NV-store hooks, per-instruction cost replay over
-	// store/mul blocks, skim, halt, faults, untranslated code, and the
-	// budget tail.
-	BackendSuper Backend = iota
-	// BackendBatch forces the per-instruction batched interpreter
-	// (RunUntil) unconditionally — the PR 3 engine, kept as the deopt
-	// target and the differential reference in tests.
-	BackendBatch
-)
-
-// Run dispatches one batched execution window to the selected backend. It
-// has RunUntil's exact contract: same stop reasons, same overshoot bound
-// (budget + MaxInstrCycles - 1), same Stats and cost replay semantics.
-func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
-	if c.Backend == BackendBatch {
-		return c.RunUntil(budget, costs)
-	}
-	return c.RunSuper(budget, costs)
-}
-
 // translation is the per-image superblock table, indexed by instruction
 // slot. Only a block's first slot carries a pointer: jumping into the middle
 // of a block (computed BX targets only — every statically-known branch
@@ -82,7 +56,11 @@ type transBlock struct {
 	hasMul   bool
 }
 
-// RunSuper is the superblock executor. At each block boundary it either
+// Run is the batched executor the runtimes use. It has RunUntil's exact
+// contract: same stop reasons, same overshoot bound (budget +
+// MaxInstrCycles - 1), same Stats and cost replay semantics.
+//
+// Run executes translated superblocks. At each block boundary it either
 // executes a fused block — when one starts at PC, fits the remaining budget
 // in the worst case, and no runtime-visibility gate applies — or hands the
 // rest of the window to RunUntil. Delegation (rather than a private slow
@@ -98,7 +76,7 @@ type transBlock struct {
 //     have data-dependent cycles);
 //   - the block's worst-case cycles do not fit the remaining budget (the
 //     interpreter must pick the exact stop instruction).
-func (c *CPU) RunSuper(budget uint64, costs *[]Cost) (BatchResult, error) {
+func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
 	var res BatchResult
 	if c.Halted {
 		res.Reason = StopHalt
@@ -416,9 +394,9 @@ func bodyUsesPC(in isa.Instruction) bool {
 // PC-relative operands. Memory faults are parked in c.sbErr and signalled by
 // returning false.
 //
-// The closures mirror (*CPU).execute case for case — the differential and
-// fuzz-corpus tests in super_test.go pin all three engines to identical
-// architectural state, Stats, and cycle counts.
+// The closures mirror RunUntil's switch case for case — the differential
+// and fuzz-corpus tests in super_test.go pin Run, RunUntil and the test
+// oracle to identical architectural state, Stats, and cycle counts.
 func buildBodyFn(in isa.Instruction) func(*CPU) bool {
 	op := in.Op
 	if !op.Valid() || op.IsBranch() || op == isa.OpHalt || op == isa.OpSkm {
@@ -745,7 +723,6 @@ func (c *CPU) Fork(m *mem.Memory) *CPU {
 		SkimTarget: c.SkimTarget,
 		SkimArmed:  c.SkimArmed,
 		Stats:      c.Stats,
-		Backend:    c.Backend,
 
 		amenable:    c.amenable,
 		decodeCache: c.decodeCache,

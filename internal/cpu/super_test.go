@@ -10,9 +10,9 @@ import (
 	"whatsnext/internal/wncheck"
 )
 
-// runSuperWindows drives the superblock backend in windows of the given
+// runSuperWindows drives the superblock executor in windows of the given
 // budget until halt or fault, collecting the per-instruction cost stream —
-// the RunSuper counterpart of runBatched.
+// the Run counterpart of runBatched.
 func runSuperWindows(t *testing.T, c *CPU, budget uint64) (uint64, []Cost, error) {
 	t.Helper()
 	var (
@@ -23,7 +23,7 @@ func runSuperWindows(t *testing.T, c *CPU, budget uint64) (uint64, []Cost, error
 		if i > 1_000_000 {
 			t.Fatal("runaway superblock program")
 		}
-		res, err := c.RunSuper(budget, &costs)
+		res, err := c.Run(budget, &costs)
 		cycles += res.Cycles
 		if err != nil {
 			return cycles, costs, err
@@ -33,9 +33,8 @@ func runSuperWindows(t *testing.T, c *CPU, budget uint64) (uint64, []Cost, error
 }
 
 // TestRunSuperMatchesStepAndBatch is the three-level differential for the
-// translation backend: every program runs to halt through the reference
-// Step loop, the batched interpreter, and the superblock executor at several
-// window sizes. Cycle totals, per-instruction cost streams, and all
+// superblock executor: every program runs to halt through the reference
+// interpreter, RunUntil, and Run at several window sizes. Cycle totals, per-instruction cost streams, and all
 // architectural and statistical state must be identical across all three.
 func TestRunSuperMatchesStepAndBatch(t *testing.T) {
 	budgets := []uint64{1, 7, 64, 1 << 62}
@@ -99,7 +98,7 @@ func TestRunSuperStoreHook(t *testing.T) {
 		if i > 1_000_000 {
 			t.Fatal("runaway superblock program")
 		}
-		res, err := sup.RunSuper(1<<62, nil)
+		res, err := sup.Run(1<<62, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +212,7 @@ func TestRunSuperMemoParity(t *testing.T) {
 	supCycles, supErr := func() (uint64, error) {
 		var cycles uint64
 		for !sup.Halted {
-			res, err := sup.RunSuper(1<<62, nil)
+			res, err := sup.Run(1<<62, nil)
 			cycles += res.Cycles
 			if err != nil {
 				return cycles, err
@@ -228,26 +227,6 @@ func TestRunSuperMemoParity(t *testing.T) {
 		t.Errorf("cycles diverge with memoization: ref %d sup %d", refCycles, supCycles)
 	}
 	assertSameState(t, ref, sup, refM, supM)
-}
-
-// TestRunDispatch pins the backend selector: BackendBatch must behave as
-// RunUntil and the default zero value as the superblock executor, both
-// producing identical results.
-func TestRunDispatch(t *testing.T) {
-	for _, backend := range []Backend{BackendSuper, BackendBatch} {
-		ref, refM := device(t, diffPrograms["mixed-loop"])
-		got, gotM := device(t, diffPrograms["mixed-loop"])
-		got.Backend = backend
-		if _, _, err := stepRef(t, ref); err != nil {
-			t.Fatal(err)
-		}
-		for !got.Halted {
-			if _, err := got.Run(1<<62, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		assertSameState(t, ref, got, refM, gotM)
-	}
 }
 
 // TestTranslationBoundariesMatchCFG is the satellite-1 contract: every fused
@@ -299,7 +278,8 @@ func TestTranslationBoundariesMatchCFG(t *testing.T) {
 
 // TestRunBudgetOvershootAllStopReasons is the satellite-2 regression: for
 // every StopReason — budget, halt, store-hook, skim, and fault — and for
-// both backends, a window never exceeds budget + MaxInstrCycles - 1 cycles.
+// both Run and RunUntil, a window never exceeds budget + MaxInstrCycles - 1
+// cycles.
 // The programs are chosen so every reason is actually observed, and the test
 // fails if one never occurs.
 func TestRunBudgetOvershootAllStopReasons(t *testing.T) {
@@ -319,22 +299,25 @@ func TestRunBudgetOvershootAllStopReasons(t *testing.T) {
 			HALT
 		`, // StopFault after a multiply-heavy run (worst-case overshoot)
 	}
-	for _, backend := range []Backend{BackendSuper, BackendBatch} {
+	engines := map[string]func(*CPU, uint64, *[]Cost) (BatchResult, error){
+		"Run":      (*CPU).Run,
+		"RunUntil": (*CPU).RunUntil,
+	}
+	for name, run := range engines {
 		seen := map[StopReason]bool{}
 		for _, src := range progs {
 			for budget := uint64(1); budget <= 40; budget++ {
 				c, _ := device(t, src)
-				c.Backend = backend
 				c.BeforeStore = func(uint32, int) {} // arm the StopStore path
 				for i := 0; !c.Halted; i++ {
 					if i > 100_000 {
 						t.Fatal("runaway program")
 					}
-					res, err := c.Run(budget, nil)
+					res, err := run(c, budget, nil)
 					seen[res.Reason] = true
 					if res.Cycles > budget+MaxInstrCycles-1 {
-						t.Fatalf("backend %d budget %d: window ran %d cycles (reason %d), want <= %d",
-							backend, budget, res.Cycles, res.Reason, budget+MaxInstrCycles-1)
+						t.Fatalf("%s budget %d: window ran %d cycles (reason %d), want <= %d",
+							name, budget, res.Cycles, res.Reason, budget+MaxInstrCycles-1)
 					}
 					if err != nil {
 						break // fault windows end the run
@@ -349,7 +332,7 @@ func TestRunBudgetOvershootAllStopReasons(t *testing.T) {
 		}
 		for _, want := range []StopReason{StopBudget, StopHalt, StopStore, StopSkim, StopFault} {
 			if !seen[want] {
-				t.Errorf("backend %d: StopReason %d never observed", backend, want)
+				t.Errorf("%s: StopReason %d never observed", name, want)
 			}
 		}
 	}
@@ -441,10 +424,11 @@ func randomProgram(rng *rand.Rand, seedWords []uint32) []byte {
 
 // TestFuzzCorpusDifferential is the satellite-3 fuzz-style differential:
 // deterministic random programs built from the FuzzEncodeDecode seed classes
-// run under the reference Step loop, the batched interpreter at budget=1
-// (one instruction per window — every boundary observed), and the superblock
-// backend, diffing registers, flags, skim state, and NV memory at every
-// instruction boundary, and full state (including Stats) at the end.
+// run under the reference interpreter, Step and the batched interpreter at
+// budget=1 (one instruction per window — every boundary observed), and the
+// superblock executor, diffing registers, flags, skim state, and NV memory
+// at every instruction boundary, and full state (including Stats) at the
+// end.
 func TestFuzzCorpusDifferential(t *testing.T) {
 	const (
 		programs      = 40
@@ -464,32 +448,44 @@ func TestFuzzCorpusDifferential(t *testing.T) {
 		}
 		ref, refM := newDev()
 		bat, batM := newDev()
+		stp, stpM := newDev()
 
-		// Phase 1: boundary-lockstep reference vs batched interpreter.
-		var refErr, batErr error
+		// Phase 1: boundary-lockstep reference vs batched interpreter and
+		// Step.
+		var refErr error
 		boundaries := 0
 		for ; boundaries < maxBoundaries && !ref.Halted; boundaries++ {
-			_, refErr = ref.Step()
-			_, batErr = bat.RunUntil(1, nil)
-			if (refErr == nil) != (batErr == nil) {
-				t.Fatalf("program %d boundary %d: fault asymmetry ref %v bat %v",
-					pi, boundaries, refErr, batErr)
+			_, refErr = ref.refStep()
+			_, batErr := bat.RunUntil(1, nil)
+			_, stpErr := stp.Step()
+			for _, e := range []struct {
+				name string
+				c    *CPU
+				err  error
+			}{{"bat", bat, batErr}, {"step", stp, stpErr}} {
+				if (refErr == nil) != (e.err == nil) {
+					t.Fatalf("program %d boundary %d: fault asymmetry ref %v %s %v",
+						pi, boundaries, refErr, e.name, e.err)
+				}
+				if refErr != nil && refErr.Error() != e.err.Error() {
+					t.Fatalf("program %d boundary %d: fault messages diverge:\nref %v\n%s %v",
+						pi, boundaries, refErr, e.name, e.err)
+				}
+				if ref.Regs != e.c.Regs || ref.Halted != e.c.Halted ||
+					ref.SkimArmed != e.c.SkimArmed || ref.SkimTarget != e.c.SkimTarget ||
+					ref.N != e.c.N || ref.Z != e.c.Z || ref.C != e.c.C || ref.V != e.c.V {
+					t.Fatalf("program %d: ref vs %s state diverges at boundary %d", pi, e.name, boundaries)
+				}
 			}
 			if refErr != nil {
-				if refErr.Error() != batErr.Error() {
-					t.Fatalf("program %d boundary %d: fault messages diverge:\nref %v\nbat %v",
-						pi, boundaries, refErr, batErr)
-				}
 				break
 			}
-			if ref.Regs != bat.Regs || ref.Halted != bat.Halted ||
-				ref.SkimArmed != bat.SkimArmed || ref.SkimTarget != bat.SkimTarget ||
-				ref.N != bat.N || ref.Z != bat.Z || ref.C != bat.C || ref.V != bat.V {
-				t.Fatalf("program %d: state diverges at boundary %d", pi, boundaries)
-			}
 		}
-		if !refM.StateEqual(batM) {
-			t.Fatalf("program %d: memory diverges ref vs bat", pi)
+		if !refM.StateEqual(batM) || !refM.StateEqual(stpM) {
+			t.Fatalf("program %d: memory diverges ref vs bat/step", pi)
+		}
+		if !reflect.DeepEqual(ref.Stats, stp.Stats) {
+			t.Fatalf("program %d: stats diverge:\nref  %+v\nstep %+v", pi, ref.Stats, stp.Stats)
 		}
 
 		// Phase 2: superblock backend vs the reference outcome. When the
@@ -504,7 +500,7 @@ func TestFuzzCorpusDifferential(t *testing.T) {
 				if i > maxBoundaries {
 					t.Fatalf("program %d: superblock run does not terminate", pi)
 				}
-				_, supErr = sup.RunSuper(1<<62, nil)
+				_, supErr = sup.Run(1<<62, nil)
 			}
 			if (refErr == nil) != (supErr == nil) {
 				t.Fatalf("program %d: fault asymmetry ref %v sup %v", pi, refErr, supErr)
@@ -515,7 +511,7 @@ func TestFuzzCorpusDifferential(t *testing.T) {
 		} else {
 			target := ref.Stats.Cycles
 			for sup.Stats.Cycles < target && !sup.Halted {
-				if _, err := sup.RunSuper(target-sup.Stats.Cycles, nil); err != nil {
+				if _, err := sup.Run(target-sup.Stats.Cycles, nil); err != nil {
 					t.Fatalf("program %d: superblock faulted during aligned run: %v", pi, err)
 				}
 			}

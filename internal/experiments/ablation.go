@@ -388,14 +388,16 @@ func runMemoPoint(b *workloads.Benchmark, p workloads.Params, n int) (memoCell, 
 	if n > 0 {
 		cp.Memo = cpu.NewSizedMemoTable(n)
 	}
+	// Run returns StopSkim right after the first SKM, where the earliest
+	// output is committed.
 	var cycles uint64
 	for !cp.Halted {
-		cost, err := cp.Step()
+		res, err := cp.Run(1<<62, nil)
 		if err != nil {
 			return memoCell{}, err
 		}
-		cycles += uint64(cost.Cycles)
-		if cp.SkimArmed {
+		cycles += res.Cycles
+		if res.Reason == cpu.StopSkim {
 			break
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"whatsnext/internal/compiler"
+	"whatsnext/internal/cpu"
 	"whatsnext/internal/mem"
 	"whatsnext/internal/quality"
 	"whatsnext/internal/sweep"
@@ -194,14 +195,16 @@ func runFig13Cell(b *workloads.Benchmark, p workloads.Params, v Variant, memo bo
 	if err != nil {
 		return fig13Cell{}, err
 	}
+	// Run returns StopSkim right after every SKM; the anytime build stops
+	// at the first one, where its earliest output is committed.
 	var cycles uint64
 	for !cp.Halted {
-		cost, err := cp.Step()
+		res, err := cp.Run(1<<62, nil)
 		if err != nil {
 			return fig13Cell{}, err
 		}
-		cycles += uint64(cost.Cycles)
-		if v.Mode == compiler.ModeSWP && cp.SkimArmed {
+		cycles += res.Cycles
+		if v.Mode == compiler.ModeSWP && res.Reason == cpu.StopSkim {
 			break
 		}
 	}

@@ -190,10 +190,10 @@ type contResult struct {
 
 // runContinuous executes the program under uninterrupted power through the
 // batched executor. Windows are sized to the next observable boundary — a
-// quality sample or the cycle budget — and RunUntil stops at the first
+// quality sample or the cycle budget — and Run stops at the first
 // instruction that crosses it (and at every SKM), so samples, skim stops,
-// and budget stops land on exactly the instruction boundaries the
-// per-instruction reference loop would produce.
+// and budget stops land on exactly the instruction boundaries stepping one
+// instruction at a time would produce.
 func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOptions) (contResult, *mem.Memory, error) {
 	cp, m, err := bareDevice(c, inputs, opt.memo)
 	if err != nil {

@@ -1,11 +1,11 @@
 // Package faultinject is the dynamic half of the crash-consistency
 // contract: a systematic power-failure injector over the batched stepper.
 //
-// For every scheduled kill point it executes the target program on a fresh
-// device, forces a full power-failure/restore round trip through the
-// configured intermittent runtime at the exact instruction boundary, lets
-// the run finish, and differentially compares the final non-volatile data
-// region against an uninterrupted golden run. Any difference — a differing
+// For every scheduled kill point RunLockstep forces a full
+// power-failure/restore round trip through the configured intermittent
+// runtime at the exact instruction boundary, lets the run finish, and
+// differentially compares the final non-volatile data region against an
+// uninterrupted golden run. Any difference — a differing
 // word, or a run that no longer halts within budget — is a witnessed
 // crash-consistency violation, reported with the cycle of failure and the
 // first differing word.
@@ -104,58 +104,6 @@ func (r *Report) String() string {
 		return head + ": clean"
 	}
 	return fmt.Sprintf("%s: %d DIVERGENT — first: %s", head, len(r.Divergences), r.Divergences[0])
-}
-
-// Run executes the campaign: one golden run, then one injected run per
-// scheduled kill point. Errors are infrastructure failures (a program that
-// faults or cannot finish even uninterrupted); divergences are reported in
-// the Report, not as errors.
-func Run(t Target, cfg Config, sched Schedule) (*Report, error) {
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("faultinject: Config.Policy is required")
-	}
-	if cfg.Mem == (mem.Config{}) {
-		cfg.Mem = mem.DefaultConfig()
-	}
-	if cfg.Device == (energy.DeviceConfig{}) {
-		cfg.Device = energy.DefaultDeviceConfig()
-	}
-
-	var costs []cpu.Cost
-	golden, err := runOnce(t, cfg, noKill, ^uint64(0), &costs, nil)
-	if err != nil {
-		return nil, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
-	}
-	if !golden.halted {
-		return nil, fmt.Errorf("faultinject: %s: golden run did not halt", t.Name)
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 4*golden.cycles + 65536
-	}
-
-	points := killPoints(costs, golden.cycles, sched)
-	rep := &Report{
-		Target:             t.Name,
-		Policy:             cfg.Policy().Name(),
-		GoldenCycles:       golden.cycles,
-		GoldenInstructions: golden.instrs,
-		Points:             len(points),
-	}
-	if n := len(points); n > 0 {
-		rep.StrideCycles = golden.cycles / uint64(n)
-	}
-
-	for _, kill := range points {
-		rep.Schedule = append(rep.Schedule, kill.cycle)
-		got, err := runOnce(t, cfg, kill.cycle, cfg.Budget, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
-		}
-		if d, diverged := diff(kill, &golden, &got); diverged {
-			rep.Divergences = append(rep.Divergences, d)
-		}
-	}
-	return rep, nil
 }
 
 // killPoint is one scheduled failure: a cycle count and, for reporting,

@@ -35,6 +35,8 @@ func policyFactory(name string) func() intermittent.Policy {
 		return func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) }
 	case "naive":
 		return func() intermittent.Policy { return intermittent.NewNaive(intermittent.DefaultNaiveConfig()) }
+	case "restart":
+		return func() intermittent.Policy { return intermittent.NewRestart(intermittent.DefaultRestartConfig()) }
 	}
 	panic("unknown policy " + name)
 }
@@ -97,7 +99,7 @@ func TestSeededHazardsFlaggedAndWitnessed(t *testing.T) {
 
 			target := faultinject.FromProgram(tc.file, p)
 			for _, rt := range tc.runtimes {
-				rep, err := faultinject.Run(target, faultinject.Config{Policy: policyFactory(rt)}, tc.sched)
+				rep, err := faultinject.RunLockstep(target, faultinject.Config{Policy: policyFactory(rt)}, tc.sched)
 				if err != nil {
 					t.Fatalf("%s: %v", rt, err)
 				}
@@ -152,7 +154,7 @@ func TestCleanProgramZeroDivergence(t *testing.T) {
 	}
 	target := faultinject.FromProgram("accum", p)
 	for _, rt := range []string{"clank", "nvp", "undolog"} {
-		rep, err := faultinject.Run(target, faultinject.Config{Policy: policyFactory(rt)},
+		rep, err := faultinject.RunLockstep(target, faultinject.Config{Policy: policyFactory(rt)},
 			faultinject.Schedule{Exhaustive: true})
 		if err != nil {
 			t.Fatalf("%s: %v", rt, err)
@@ -173,7 +175,7 @@ func TestStridedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := faultinject.Run(faultinject.FromProgram("accum", p),
+	rep, err := faultinject.RunLockstep(faultinject.FromProgram("accum", p),
 		faultinject.Config{Policy: policyFactory("nvp")},
 		faultinject.Schedule{Points: 7})
 	if err != nil {
@@ -199,7 +201,7 @@ func TestStridedScheduleExactCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 5
-	rep, err := faultinject.Run(faultinject.FromProgram("accum", p),
+	rep, err := faultinject.RunLockstep(faultinject.FromProgram("accum", p),
 		faultinject.Config{Policy: policyFactory("nvp")},
 		faultinject.Schedule{Points: n})
 	if err != nil {
@@ -262,11 +264,11 @@ func TestExhaustiveSupersetOfStridedWitnesses(t *testing.T) {
 
 	target := faultinject.FromProgram("sram_stage", p)
 	cfg := faultinject.Config{Policy: policyFactory("nvp")}
-	strided, err := faultinject.Run(target, cfg, faultinject.Schedule{Points: 16})
+	strided, err := faultinject.RunLockstep(target, cfg, faultinject.Schedule{Points: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustive, err := faultinject.Run(target, cfg, faultinject.Schedule{Exhaustive: true})
+	exhaustive, err := faultinject.RunLockstep(target, cfg, faultinject.Schedule{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

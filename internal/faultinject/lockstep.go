@@ -5,19 +5,20 @@ import (
 
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
-	"whatsnext/internal/intermittent"
 	"whatsnext/internal/mem"
 )
 
-// RunLockstep executes the same campaign as Run with the same Report, but
-// batches the schedule through one shared trunk execution instead of one
-// full re-execution per kill point.
+// RunLockstep executes an injection campaign: one golden run, then one
+// forced power failure per scheduled kill point. Errors are infrastructure
+// failures (a program that faults or cannot finish even uninterrupted);
+// divergences are reported in the Report, not as errors.
 //
-// The naive campaign costs O(points x program length): every injected run
-// re-executes the prefix up to its kill point and the suffix after it,
-// even though the prefix is identical to the golden run by construction
-// and the suffix is identical whenever the restore path re-converges. The
-// lockstep engine exploits both halves:
+// Running every injected run from reset would cost O(points x program
+// length): each re-executes the prefix up to its kill point and the suffix
+// after it, even though the prefix is identical to the golden run by
+// construction and the suffix is identical whenever the restore path
+// re-converges. RunLockstep instead batches the schedule through one
+// shared trunk execution and exploits both halves:
 //
 //   - Prefix sharing: one trunk device executes the golden path once. At
 //     each kill boundary (visited in ascending order) the trunk is forked —
@@ -33,19 +34,15 @@ import (
 //     that boundary), the remainder of the run is deterministic and
 //     identical to the golden suffix, so the fork is clean and is
 //     discarded without executing it. Only forks that fail to re-converge —
-//     actual crash-consistency violations, skim-point jumps, or memo-induced
-//     cycle drift — run to halt and are diffed like any naive injected run.
+//     actual crash-consistency violations, skim-point jumps, memo-induced
+//     cycle drift, or a Restart reboot that takes a different path — run
+//     to halt and are diffed against the golden run.
 //
-// The fallback is total: a policy that does not implement
-// intermittent.ForkablePolicy and intermittent.ReplayDistancer routes the
-// whole campaign through Run. Reports are identical to Run's in every
-// field either way.
+// Reports are identical in every field to running each injected run from
+// reset; the tests keep that engine as the oracle.
 func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("faultinject: Config.Policy is required")
-	}
-	if p := cfg.Policy(); !forkable(p) {
-		return Run(t, cfg, sched)
 	}
 	normalize(&cfg)
 
@@ -96,18 +93,12 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 			// runOnce never injects and the run trivially matches golden.
 			continue
 		}
-		var (
-			child *device
-			ok    bool
-		)
+		var child *device
 		if spare == nil {
 			trunk.m.ResetDirty()
-			child, ok = trunk.fork()
+			child = trunk.fork()
 		} else {
-			child, ok = trunk.forkInto(spare)
-		}
-		if !ok {
-			return nil, fmt.Errorf("faultinject: %s: policy %s lost forkability mid-run", t.Name, rep.Policy)
+			child = trunk.forkInto(spare)
 		}
 		spare = child
 		got, err := child.finish(trunk, golden.cycles, cfg.Budget)
@@ -124,15 +115,8 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	return rep, nil
 }
 
-// forkable reports whether the policy supports trunk forking and replay
-// bounding.
-func forkable(p intermittent.Policy) bool {
-	_, f := p.(intermittent.ForkablePolicy)
-	_, d := p.(intermittent.ReplayDistancer)
-	return f && d
-}
-
-// normalize fills the Config defaults exactly as Run does.
+// normalize fills the Config defaults: the default memory geometry and
+// energy device.
 func normalize(cfg *Config) {
 	if cfg.Mem == (mem.Config{}) {
 		cfg.Mem = mem.DefaultConfig()
@@ -147,7 +131,7 @@ func normalize(cfg *Config) {
 // the trunk (final memory identical to golden — clean), or the child's
 // full run result for the caller to diff.
 func (d *device) finish(trunk *device, goldenCycles, budget uint64) (*runResult, error) {
-	dist := d.policy.(intermittent.ReplayDistancer).ReplayDistance()
+	dist := d.policy.ReplayDistance()
 	d.r.ForceFailure()
 
 	// The convergence shortcut is only sound comfortably inside the budget:

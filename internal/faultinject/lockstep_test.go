@@ -2,11 +2,13 @@ package faultinject_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"whatsnext/internal/asm"
 	"whatsnext/internal/compiler"
 	"whatsnext/internal/faultinject"
+	"whatsnext/internal/nn"
 	"whatsnext/internal/workloads"
 )
 
@@ -14,11 +16,13 @@ import (
 // corpus program — hazard-seeded and clean — under every runtime policy,
 // RunLockstep produces a Report identical in every field to the naive
 // one-run-per-kill-point campaign, including the exact divergence list
-// (kill cycles, first differing words, values).
+// (kill cycles, first differing words, values). The two NN targets pin
+// Restart, whose forks reboot at the entry point: the progress-embedded
+// build is clean under it and the multi-pass build diverges.
 func TestLockstepMatchesRun(t *testing.T) {
 	cases := []struct {
 		name  string
-		prog  func(t *testing.T) *asm.Program
+		prog  func(t *testing.T) faultinject.Target
 		sched faultinject.Schedule
 	}{
 		{"repeated_input", fromFile("repeated_input.s"), faultinject.Schedule{Exhaustive: true, MaxPoints: 256}},
@@ -29,16 +33,17 @@ func TestLockstepMatchesRun(t *testing.T) {
 		{"skim_stale_reg", fromFile("skim_stale_reg.s"), faultinject.Schedule{Exhaustive: true}},
 		{"clean_accum", fromSource(cleanAccum), faultinject.Schedule{Exhaustive: true}},
 		{"clean_strided", fromSource(cleanAccum), faultinject.Schedule{Points: 13}},
+		{"nn_embedded", nnConv(compiler.ModePrecise, 8, compiler.Options{ProgressEmbed: true}), faultinject.Schedule{Exhaustive: true, MaxPoints: 96}},
+		{"nn_multipass", nnConv(compiler.ModeSWP, 4, compiler.Options{}), faultinject.Schedule{Points: 8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.prog(t)
-			target := faultinject.FromProgram(tc.name, p)
-			for _, rt := range []string{"clank", "nvp", "undolog", "naive"} {
+			target := tc.prog(t)
+			for _, rt := range []string{"clank", "nvp", "undolog", "naive", "restart"} {
 				cfg := faultinject.Config{Policy: policyFactory(rt)}
-				want, err := faultinject.Run(target, cfg, tc.sched)
+				want, err := faultinject.RunNaive(target, cfg, tc.sched)
 				if err != nil {
-					t.Fatalf("%s: Run: %v", rt, err)
+					t.Fatalf("%s: RunNaive: %v", rt, err)
 				}
 				got, err := faultinject.RunLockstep(target, cfg, tc.sched)
 				if err != nil {
@@ -47,23 +52,44 @@ func TestLockstepMatchesRun(t *testing.T) {
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("%s: lockstep report differs\n naive:    %+v\n lockstep: %+v", rt, want, got)
 				}
+				if rt == "restart" && strings.HasPrefix(tc.name, "nn_") && got.Clean() != (tc.name == "nn_embedded") {
+					t.Errorf("restart: clean = %v; want only the progress-embedded build clean", got.Clean())
+				}
 			}
 		})
 	}
 }
 
-func fromFile(file string) func(t *testing.T) *asm.Program {
-	return func(t *testing.T) *asm.Program { return loadProgram(t, file) }
+func fromFile(file string) func(t *testing.T) faultinject.Target {
+	return func(t *testing.T) faultinject.Target {
+		return faultinject.FromProgram(file, loadProgram(t, file))
+	}
 }
 
-func fromSource(src string) func(t *testing.T) *asm.Program {
-	return func(t *testing.T) *asm.Program {
+func fromSource(src string) func(t *testing.T) faultinject.Target {
+	return func(t *testing.T) faultinject.Target {
 		t.Helper()
 		p, err := asm.Assemble(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		return faultinject.FromProgram("source", p)
+	}
+}
+
+// nnConv builds a campaign-sized NNConv target with the given compiler
+// configuration.
+func nnConv(mode compiler.Mode, bits int, opts compiler.Options) func(t *testing.T) faultinject.Target {
+	return func(t *testing.T) faultinject.Target {
+		t.Helper()
+		b := nn.NNConv()
+		p := workloads.Params{ImgW: 6, ImgH: 5, K: 3}
+		opts.Mode = mode
+		c, err := compiler.Compile(b.Build(p, bits, true), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return faultinject.FromCompiled(b.Name, c, b.Inputs(p, 7))
 	}
 }
 
@@ -71,13 +97,12 @@ func fromSource(src string) func(t *testing.T) *asm.Program {
 // small for any re-execution, both engines must report the same
 // lost-forward-progress divergences.
 func TestLockstepTightBudget(t *testing.T) {
-	p := fromSource(cleanAccum)(t)
-	target := faultinject.FromProgram("clean_accum", p)
+	target := fromSource(cleanAccum)(t)
 	for _, rt := range []string{"clank", "nvp", "naive"} {
 		var costs0 uint64
 		{
 			// Golden length: run once uninjected to size the tight budget.
-			rep, err := faultinject.Run(target, faultinject.Config{Policy: policyFactory(rt)},
+			rep, err := faultinject.RunLockstep(target, faultinject.Config{Policy: policyFactory(rt)},
 				faultinject.Schedule{Points: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -86,9 +111,9 @@ func TestLockstepTightBudget(t *testing.T) {
 		}
 		cfg := faultinject.Config{Policy: policyFactory(rt), Budget: costs0 + 8}
 		sched := faultinject.Schedule{Exhaustive: true, MaxPoints: 64}
-		want, err := faultinject.Run(target, cfg, sched)
+		want, err := faultinject.RunNaive(target, cfg, sched)
 		if err != nil {
-			t.Fatalf("%s: Run: %v", rt, err)
+			t.Fatalf("%s: RunNaive: %v", rt, err)
 		}
 		got, err := faultinject.RunLockstep(target, cfg, sched)
 		if err != nil {
@@ -125,8 +150,9 @@ func benchCampaign(b *testing.B, engine func(faultinject.Target, faultinject.Con
 	}
 }
 
-// BenchmarkExhaustiveNaive measures the one-run-per-kill-point campaign.
-func BenchmarkExhaustiveNaive(b *testing.B) { benchCampaign(b, faultinject.Run) }
+// BenchmarkExhaustiveNaive measures the one-run-per-kill-point campaign,
+// the reference engine kept in the tests.
+func BenchmarkExhaustiveNaive(b *testing.B) { benchCampaign(b, faultinject.RunNaive) }
 
 // BenchmarkExhaustiveLockstep measures the shared-trunk campaign.
 func BenchmarkExhaustiveLockstep(b *testing.B) { benchCampaign(b, faultinject.RunLockstep) }

@@ -94,9 +94,8 @@ func newDevice(t Target, cfg Config) (*device, error) {
 
 // fork clones the device at its current instruction boundary: memory is
 // deep-copied, the CPU shares the decode cache and superblock translation
-// with the trunk, and the policy is duplicated via ForkablePolicy. Returns
-// false when the policy cannot fork.
-func (d *device) fork() (*device, bool) {
+// with the trunk, and the policy is duplicated via Policy.Fork.
+func (d *device) fork() *device {
 	m := d.m.Clone()
 	return d.forkOnto(m)
 }
@@ -108,7 +107,7 @@ func (d *device) fork() (*device, bool) {
 // O(bytes actually touched). Tracking stamps are not copied — the forced
 // failure the caller applies next issues a ClearAccessSets, and the spare's
 // epoch only moves forward, so its stale stamps can never read as current.
-func (d *device) forkInto(spare *device) (*device, bool) {
+func (d *device) forkInto(spare *device) *device {
 	ext := spare.m.Dirty().Union(d.m.Dirty())
 	spare.m.CopyDirty(d.m, ext)
 	spare.m.ResetDirty()
@@ -117,22 +116,19 @@ func (d *device) forkInto(spare *device) (*device, bool) {
 }
 
 // forkOnto builds the CPU/runner/policy fork on an already-synced memory.
-func (d *device) forkOnto(m *mem.Memory) (*device, bool) {
+func (d *device) forkOnto(m *mem.Memory) *device {
 	c := d.c.Fork(m)
-	r, ok := d.r.Fork(c, m, energy.NewSupply(d.cfg.Device, energy.ConstantTrace(1, 10, 1)))
-	if !ok {
-		return nil, false
-	}
+	r := d.r.Fork(c, m, energy.NewSupply(d.cfg.Device, energy.ConstantTrace(1, 10, 1)))
 	return &device{cfg: d.cfg, m: m, c: c, r: r, policy: r.Policy,
-		cycles: d.cycles, instrs: d.instrs, tracked: d.tracked}, true
+		cycles: d.cycles, instrs: d.instrs, tracked: d.tracked}
 }
 
 // runTo advances the device until it halts, reaches the first instruction
 // boundary at or past stop (pure CPU cycles), or crosses budget. The loop
 // mirrors the batched executor in internal/intermittent: windows are
 // bounded by the policy's horizon so overhead charges (watchdog
-// checkpoints) land on the exact instruction the reference path would
-// pick, the policy advances once per window through BatchWindow, and
+// checkpoints) land on the exact instruction per-instruction AfterStep
+// calls would pick, the policy advances once per window through BatchWindow, and
 // NV-data stores are routed through Step so BeforeStore hooks (Clank's
 // violation checkpoints, the undo log) retain full fidelity.
 func (d *device) runTo(stop, budget uint64, collect *[]cpu.Cost) error {

@@ -89,8 +89,8 @@ func (c *Clank) takeCheckpoint() {
 
 // BatchHorizon implements Policy: the batched executor may run until the
 // watchdog would fire (the checkpoint then lands on the window's final
-// instruction, exactly as in the reference loop). AfterStep charges no
-// per-cycle surcharge.
+// instruction, exactly where per-instruction AfterStep calls put it).
+// AfterStep charges no per-cycle surcharge.
 func (c *Clank) BatchHorizon() (uint64, float64) {
 	if c.sinceCheckpoint >= c.cfg.WatchdogCycles {
 		return 0, 0

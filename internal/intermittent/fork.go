@@ -6,55 +6,24 @@ import (
 	"whatsnext/internal/mem"
 )
 
-// ForkablePolicy is a Policy whose mid-run state can be duplicated onto a
-// forked device. Fork returns an independent deep copy bound to r — its
-// checkpoint snapshot, undo log, counters, and store hooks must no longer
-// alias the original's. The lockstep fault injector forks a trunk device at
-// every kill boundary instead of re-executing the prefix from reset.
-//
-// Fork must NOT re-run Attach side effects (initial checkpoint, access-set
-// clearing): the forked device continues mid-run, and the cloned memory
-// already carries the tracking state the policy expects.
-type ForkablePolicy interface {
-	Policy
-	Fork(r *Runner) Policy
-}
-
-// ReplayDistancer reports how much re-execution an outage at the current
-// instruction boundary costs, in pure CPU cycles (the sum of Cost.Cycles
-// since the instruction the restore path resumes at). Checkpointing
-// policies return the distance back to their live checkpoint; an in-place
-// resume (NVP) returns 0. The lockstep injector uses it to bound how far a
-// forked run must execute before it can be compared against the trunk.
-type ReplayDistancer interface {
-	ReplayDistance() uint64
-}
-
 // Fork duplicates the runner onto an already-cloned device. The caller
 // supplies the forked CPU (cpu.Fork), memory (mem.Clone), and a fresh
-// supply; the policy is deep-copied via ForkablePolicy. Returns false when
-// the attached policy does not support forking, in which case the caller
-// must fall back to building the target state from reset.
-func (r *Runner) Fork(c *cpu.CPU, m *mem.Memory, s *energy.Supply) (*Runner, bool) {
-	fp, ok := r.Policy.(ForkablePolicy)
-	if !ok {
-		return nil, false
-	}
+// supply; the policy is deep-copied via Policy.Fork.
+func (r *Runner) Fork(c *cpu.CPU, m *mem.Memory, s *energy.Supply) *Runner {
 	n := &Runner{
 		CPU:           c,
 		Mem:           m,
 		Supply:        s,
 		MaxCycles:     r.MaxCycles,
-		Reference:     r.Reference,
 		pendingCycles: r.pendingCycles,
 		pendingEnergy: r.pendingEnergy,
 		skimTaken:     r.skimTaken,
 	}
-	n.Policy = fp.Fork(n)
-	return n, true
+	n.Policy = r.Policy.Fork(n)
+	return n
 }
 
-// Fork implements ForkablePolicy: the checkpoint snapshot is a value, so a
+// Fork implements Policy: the checkpoint snapshot is a value, so a
 // struct copy suffices; only the runner binding and the store hook need
 // rebuilding.
 func (c *Clank) Fork(r *Runner) Policy {
@@ -69,11 +38,11 @@ func (c *Clank) Fork(r *Runner) Policy {
 	return &n
 }
 
-// ReplayDistance implements ReplayDistancer: an outage rewinds to the live
+// ReplayDistance implements Policy: an outage rewinds to the live
 // checkpoint, re-executing everything since it.
 func (c *Clank) ReplayDistance() uint64 { return c.sinceCheckpoint }
 
-// Fork implements ForkablePolicy. NVP keeps no per-run mutable state beyond
+// Fork implements Policy. NVP keeps no per-run mutable state beyond
 // the runner binding.
 func (n *NVP) Fork(r *Runner) Policy {
 	f := *n
@@ -82,20 +51,20 @@ func (n *NVP) Fork(r *Runner) Policy {
 	return &f
 }
 
-// ReplayDistance implements ReplayDistancer: NVP resumes in place.
+// ReplayDistance implements Policy: NVP resumes in place.
 func (n *NVP) ReplayDistance() uint64 { return 0 }
 
-// Fork implements ForkablePolicy.
+// Fork implements Policy.
 func (n *Naive) Fork(r *Runner) Policy {
 	f := *n
 	f.r = r
 	return &f
 }
 
-// ReplayDistance implements ReplayDistancer.
+// ReplayDistance implements Policy.
 func (n *Naive) ReplayDistance() uint64 { return n.sinceCheckpoint }
 
-// Fork implements ForkablePolicy: the undo log and its dedup set are deep
+// Fork implements Policy: the undo log and its dedup set are deep
 // copied — the fork's rollback must not be visible to the original.
 func (u *UndoLog) Fork(r *Runner) Policy {
 	n := *u
@@ -109,5 +78,18 @@ func (u *UndoLog) Fork(r *Runner) Policy {
 	return &n
 }
 
-// ReplayDistance implements ReplayDistancer.
+// ReplayDistance implements Policy.
 func (u *UndoLog) ReplayDistance() uint64 { return u.sinceCheckpoint }
+
+// Fork implements Policy. Restart keeps no per-run state beyond the runner
+// binding and its counters.
+func (p *Restart) Fork(r *Runner) Policy {
+	f := *p
+	f.r = r
+	r.CPU.BeforeStore = nil
+	return &f
+}
+
+// ReplayDistance implements Policy: a restore reboots at the entry point,
+// so the distance is every cycle since the last reset.
+func (p *Restart) ReplayDistance() uint64 { return p.sinceReset }

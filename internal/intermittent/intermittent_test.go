@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 
 	"whatsnext/internal/asm"
@@ -143,15 +144,14 @@ func TestCrashConsistencyProperty(t *testing.T) {
 				// on top of the weak supply's natural brown-outs.
 				var n int
 				next := 1 + rng.Intn(400)
-				r.OnProgress = func(uint64) {
+				res, err := runReference(r, func(uint64) {
 					n++
 					if n == next {
 						n = 0
 						next = 1 + rng.Intn(400)
 						r.Supply.ForceOutage()
 					}
-				}
-				res, err := r.RunToHalt()
+				})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -425,7 +425,7 @@ loop:
 `
 
 // TestBatchedMatchesReference pins the window-granular replay of
-// runBatched to the per-instruction reference loop for every policy, under
+// RunToHalt to the per-instruction reference loop for every policy, under
 // weak() and a Wi-Fi trace whose harvest power changes from sample to
 // sample: the same Result, error, supply totals and data memory. Both
 // programs outlast one charge, so Restart never completes and both loops
@@ -470,9 +470,8 @@ func testBatchedMatchesReference(t *testing.T, name, src string, setup func(*cpu
 	run := func(reference bool) outcome {
 		r := buildDevice(t, src, mk(), mkTrace())
 		setup(r.CPU)
-		r.Reference = reference
 		r.MaxCycles = 2_000_000
-		res, err := r.RunToHalt()
+		res, err := runToHalt(r, reference)
 		data := make([]byte, 64*4)
 		if rerr := r.Mem.ReadData(mem.DataBase, data); rerr != nil {
 			t.Fatal(rerr)
@@ -498,13 +497,20 @@ func testBatchedMatchesReference(t *testing.T, name, src string, setup func(*cpu
 	}
 }
 
+// runToHalt runs r through the reference loop or through RunToHalt.
+func runToHalt(r *Runner, reference bool) (Result, error) {
+	if reference {
+		return runReference(r, nil)
+	}
+	return r.RunToHalt()
+}
+
 // TestNoTraceOutOfPower: a device whose supply has no harvest trace runs
 // until its first brown-out and then reports ErrOutOfPower.
 func TestNoTraceOutOfPower(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		r := buildDevice(t, accumProgram, NewClank(DefaultClankConfig()), nil)
-		r.Reference = reference
-		res, err := r.RunToHalt()
+		res, err := runToHalt(r, reference)
 		if !errors.Is(err, ErrOutOfPower) {
 			t.Fatalf("reference=%v: err = %v, want ErrOutOfPower", reference, err)
 		}
@@ -548,5 +554,53 @@ func BenchmarkRunToHalt(b *testing.B) {
 			b.ReportMetric(float64(instrs)/float64(b.N), "instructions/op")
 			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
 		})
+	}
+}
+
+// TestDotprodSkimUnderOutages runs the hand-written Listing 2 dot product
+// (internal/asm/testdata/dotprod.s) under Clank and forces an outage five
+// instructions after its skim point arms: the restore must take the skim
+// path and commit a positive under-approximation of the exact result.
+func TestDotprodSkimUnderOutages(t *testing.T) {
+	src, err := os.ReadFile("../asm/testdata/dotprod.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := buildDevice(t, string(src), NewClank(DefaultClankConfig()), energy.ConstantTrace(5e-3, 1000, 100))
+	var exact uint32
+	for i := uint32(0); i < 8; i++ {
+		f, a := 100+13*i, 0x1234+0x1111*i
+		if err := r.Mem.StoreHalf(mem.DataBase+2*i, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Mem.StoreHalf(mem.DataBase+16+2*i, a); err != nil {
+			t.Fatal(err)
+		}
+		exact += f * a
+	}
+	// Re-arm the policy so the input stores are not tracked as program
+	// writes, as core.System.RunInput does.
+	r.Policy.Attach(r)
+	armed := false
+	extra := 0
+	res, err := runReference(r, func(uint64) {
+		if r.CPU.SkimArmed && !armed {
+			armed = true
+		}
+		if armed {
+			if extra++; extra == 5 {
+				r.Supply.ForceOutage()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SkimTaken {
+		t.Fatal("the forced outage after the skim point should have skimmed")
+	}
+	got, _ := r.Mem.LoadWord(mem.DataBase + 32)
+	if got == 0 || got > exact {
+		t.Fatalf("skimmed X = %d, want a positive under-approximation of %d", got, exact)
 	}
 }

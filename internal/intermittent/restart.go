@@ -24,12 +24,14 @@ func DefaultRestartConfig() RestartConfig { return RestartConfig{RestoreCycles: 
 // diverges (re-accumulating completed passes), which the negative tests
 // witness.
 //
-// Restart deliberately does not implement ForkablePolicy/ReplayDistancer:
-// the replay distance after a restart is the full prefix, so lockstep
-// campaigns route through the naive engine.
+// Its replay distance is the full prefix since the last reset, so a
+// lockstep fault-injection fork under Restart rarely re-converges with the
+// trunk; it runs to halt and is diffed.
 type Restart struct {
 	cfg RestartConfig
 	r   *Runner
+
+	sinceReset uint64 // CPU cycles since the program entry was last (re)entered
 
 	Restores uint64
 }
@@ -43,18 +45,28 @@ func (p *Restart) Name() string { return "restart" }
 // Checkpoints implements Policy: there are never any.
 func (p *Restart) Checkpoints() uint64 { return 0 }
 
-// Attach implements Policy: nothing to prepare, nothing to track.
-func (p *Restart) Attach(r *Runner) { p.r = r }
+// Attach implements Policy: nothing to prepare, nothing to track. The run
+// starts at the entry point.
+func (p *Restart) Attach(r *Runner) {
+	p.r = r
+	p.sinceReset = 0
+}
 
 // BatchHorizon implements Policy: no watchdog, no tracking — the batched
 // executor may run arbitrarily far.
 func (p *Restart) BatchHorizon() (uint64, float64) { return 1 << 62, 0 }
 
 // BatchWindow implements Policy: no overhead.
-func (p *Restart) BatchWindow(uint64) (first, last energy.Overhead) { return }
+func (p *Restart) BatchWindow(cycles uint64) (first, last energy.Overhead) {
+	p.sinceReset += cycles
+	return
+}
 
 // AfterStep implements Policy: no per-instruction overhead.
-func (p *Restart) AfterStep(cpu.Cost) (uint32, float64) { return 0, 0 }
+func (p *Restart) AfterStep(cost cpu.Cost) (uint32, float64) {
+	p.sinceReset += uint64(cost.Cycles)
+	return 0, 0
+}
 
 // OnOutage implements Policy: volatile state is destroyed.
 func (p *Restart) OnOutage() {
@@ -67,6 +79,7 @@ func (p *Restart) OnOutage() {
 // could consume it.
 func (p *Restart) OnRestore() (uint32, float64) {
 	p.r.CPU.Reset()
+	p.sinceReset = 0
 	p.Restores++
 	return p.cfg.RestoreCycles, 0
 }

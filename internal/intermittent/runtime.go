@@ -28,6 +28,11 @@ import (
 )
 
 // Policy is a forward-progress runtime strategy.
+//
+// RunToHalt charges a policy per window through BatchHorizon and
+// BatchWindow; AfterStep is the per-instruction form of the same charge,
+// which the tests' reference loop uses as the oracle for the windowed one.
+// Fork and ReplayDistance serve the lockstep fault injector.
 type Policy interface {
 	// Name identifies the policy ("clank", "nvp").
 	Name() string
@@ -57,6 +62,22 @@ type Policy interface {
 	// surfaced: first was pending before the window and rides on its first
 	// instruction; last, a watchdog checkpoint, falls due on its final one.
 	BatchWindow(cycles uint64) (first, last energy.Overhead)
+	// Fork returns an independent deep copy bound to r, a runner over an
+	// already-forked device: its checkpoint snapshot, undo log, counters,
+	// and store hook must no longer alias the original's. Fork must NOT
+	// re-run Attach side effects (initial checkpoint, access-set clearing):
+	// the forked device continues mid-run, and the cloned memory already
+	// carries the tracking state the policy expects.
+	Fork(r *Runner) Policy
+	// ReplayDistance reports how much re-execution an outage at the
+	// current instruction boundary costs, in pure CPU cycles (the sum of
+	// Cost.Cycles since the instruction the restore path resumes at).
+	// Checkpointing policies return the distance back to their live
+	// checkpoint; an in-place resume (NVP) returns 0. The lockstep injector
+	// runs a forked device this far before comparing it with the trunk; a
+	// fork that has not re-converged there runs to halt and is diffed, so
+	// the value bounds the work, never the verdict.
+	ReplayDistance() uint64
 }
 
 // Result summarizes a run to completion.
@@ -91,17 +112,6 @@ type Runner struct {
 	// MaxCycles bounds total active cycles as a runaway guard; zero means
 	// a generous default (2^40).
 	MaxCycles uint64
-
-	// OnProgress, when non-nil, is invoked after every instruction with
-	// the running active-cycle count. Experiments use it to sample output
-	// quality over time. Setting it disables the batched fast path so the
-	// callback keeps its per-instruction granularity.
-	OnProgress func(cyclesOn uint64)
-
-	// Reference forces the per-instruction Step loop even where the batched
-	// executor applies. The differential tests use it to prove the batched
-	// path reproduces the reference byte for byte.
-	Reference bool
 
 	pendingCycles uint32
 	pendingEnergy float64
@@ -138,83 +148,6 @@ func (r *Runner) ForceFailure() {
 	r.pendingEnergy += ee
 }
 
-// RunToHalt executes until HALT, riding through power outages per the
-// policy. The caller is responsible for loading the program, installing
-// inputs and resetting the CPU beforehand.
-//
-// Unless Reference is set or an OnProgress callback needs per-instruction
-// granularity, execution goes through the batched fast path: the CPU runs
-// uninterrupted windows via RunUntil sized so that no checkpoint, brown-out,
-// or cycle-budget event can fall strictly inside a window, and the recorded
-// per-instruction costs are replayed through the policy and supply in
-// reference order. Results are byte-identical to the reference loop.
-func (r *Runner) RunToHalt() (Result, error) {
-	if r.Reference || r.OnProgress != nil {
-		return r.runReference()
-	}
-	return r.runBatched()
-}
-
-// runReference is the per-instruction reference loop. Its observable
-// behavior is the contract the batched path must reproduce exactly.
-func (r *Runner) runReference() (Result, error) {
-	maxCycles := r.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1 << 40
-	}
-	r.skimTaken = false
-
-	startOn := r.Supply.CyclesOn
-	startOff := r.Supply.CyclesOff
-	startOut := r.Supply.Outages
-	startDrawn := r.Supply.EnergyDrawn
-	startInst := r.CPU.Stats.Instructions
-
-	outage := func() error {
-		r.Policy.OnOutage()
-		if _, ok := r.Supply.WaitForPower(); !ok {
-			return ErrOutOfPower
-		}
-		ec, ee := r.Policy.OnRestore()
-		r.pendingCycles += ec
-		r.pendingEnergy += ee
-		return nil
-	}
-
-	for !r.CPU.Halted {
-		if r.Supply.CyclesOn-startOn > maxCycles {
-			return r.result(startOn, startOff, startOut, startDrawn, startInst), ErrCycleBudget
-		}
-		// Pay pending runtime overhead (restore costs) first.
-		if r.pendingCycles > 0 || r.pendingEnergy > 0 {
-			pc, pe := r.pendingCycles, r.pendingEnergy
-			r.pendingCycles, r.pendingEnergy = 0, 0
-			if !r.Supply.Spend(pc, pe) {
-				if err := outage(); err != nil {
-					return r.result(startOn, startOff, startOut, startDrawn, startInst), err
-				}
-				continue
-			}
-		}
-		cost, err := r.CPU.Step()
-		if err != nil {
-			return r.result(startOn, startOff, startOut, startDrawn, startInst), fmt.Errorf("intermittent: fault: %w", err)
-		}
-		ec, ee := r.Policy.AfterStep(cost)
-		nvEnergy := float64(cost.NVWrites) * r.Supply.Config().NVWriteEnergy
-		ok := r.Supply.Spend(cost.Cycles+ec, nvEnergy+ee)
-		if r.OnProgress != nil {
-			r.OnProgress(r.Supply.CyclesOn - startOn)
-		}
-		if !ok {
-			if err := outage(); err != nil {
-				return r.result(startOn, startOff, startOut, startDrawn, startInst), err
-			}
-		}
-	}
-	return r.result(startOn, startOff, startOut, startDrawn, startInst), nil
-}
-
 // Batched-executor window sizing. batchSlack keeps a window clear of the
 // brown-out threshold: RunUntil overshoots its budget by less than
 // cpu.MaxInstrCycles, and the window's first instruction may carry one
@@ -228,16 +161,23 @@ const (
 	minBatch   = 96
 )
 
-// runBatched drives the CPU through RunUntil windows and charges each
-// window once: Policy.BatchWindow advances the policy over the whole window
-// and Supply.SpendRun replays the recorded per-instruction costs through
-// the same float expressions, in the same order, as runReference's
-// AfterStep and Spend calls. Every energy draw, harvest charge, checkpoint
-// and outage therefore lands on the same instruction boundary with the
-// same floating-point values as runReference. Steps taken near a
-// checkpoint or brown-out boundary, and stores that need the BeforeStore
-// hook, go through the same path as one-instruction windows.
-func (r *Runner) runBatched() (Result, error) {
+// RunToHalt executes until HALT, riding through power outages per the
+// policy. The caller is responsible for loading the program, installing
+// inputs and resetting the CPU beforehand.
+//
+// The CPU runs uninterrupted cpu.Run windows sized so that no checkpoint,
+// brown-out, or cycle-budget event can fall strictly inside a window, and
+// each window is charged once: Policy.BatchWindow advances the policy over
+// the whole window and Supply.SpendRun replays the recorded
+// per-instruction costs through the same float expressions, in the same
+// order, as per-instruction AfterStep and Spend calls would. Every energy
+// draw, harvest charge, checkpoint and outage therefore lands on the same
+// instruction boundary with the same floating-point values as a loop that
+// steps and charges one instruction at a time; the tests keep such a loop
+// as the oracle. Steps taken near a checkpoint or brown-out boundary, and
+// stores that need the BeforeStore hook, go through the same path as
+// one-instruction windows.
+func (r *Runner) RunToHalt() (Result, error) {
 	maxCycles := r.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 1 << 40
@@ -299,8 +239,7 @@ func (r *Runner) runBatched() (Result, error) {
 		// policy's horizon (cycles until a watchdog checkpoint may fire),
 		// the energy headroom under worst-case drain (no brown-out before
 		// the window's final instruction), and the runaway budget
-		// (ErrCycleBudget fires at the same instruction as the reference
-		// loop).
+		// (ErrCycleBudget fires at the same instruction as when stepping).
 		horizon, backup := r.Policy.BatchHorizon()
 		var budget uint64
 		if !forceStep {
@@ -324,7 +263,7 @@ func (r *Runner) runBatched() (Result, error) {
 		if budget < minBatch {
 			// Too close to a brown-out or checkpoint boundary, or the next
 			// instruction needs the store hook: take one step so hooks and
-			// outages land exactly where the reference loop puts them.
+			// outages land on the exact instruction.
 			cost, err := r.CPU.Step()
 			if err != nil {
 				return r.result(startOn, startOff, startOut, startDrawn, startInst), fmt.Errorf("intermittent: fault: %w", err)

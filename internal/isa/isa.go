@@ -181,6 +181,7 @@ type opInfo struct {
 	isBranch bool
 	isLoad   bool
 	isStore  bool
+	access   uint8 // data-memory access width in bytes (loads and stores)
 }
 
 var opTable = [NumOpcodes]opInfo{
@@ -213,18 +214,18 @@ var opTable = [NumOpcodes]opInfo{
 
 	OpMul: {name: "MUL", cycles: 16, hasRm: true},
 
-	OpLdr:   {name: "LDR", cycles: 2, signed: true, isLoad: true},
-	OpLdrh:  {name: "LDRH", cycles: 2, signed: true, isLoad: true},
-	OpLdrb:  {name: "LDRB", cycles: 2, signed: true, isLoad: true},
-	OpStr:   {name: "STR", cycles: 2, signed: true, isStore: true},
-	OpStrh:  {name: "STRH", cycles: 2, signed: true, isStore: true},
-	OpStrb:  {name: "STRB", cycles: 2, signed: true, isStore: true},
-	OpLdrX:  {name: "LDRX", cycles: 2, hasRm: true, isLoad: true},
-	OpLdrhX: {name: "LDRHX", cycles: 2, hasRm: true, isLoad: true},
-	OpLdrbX: {name: "LDRBX", cycles: 2, hasRm: true, isLoad: true},
-	OpStrX:  {name: "STRX", cycles: 2, hasRm: true, isStore: true},
-	OpStrhX: {name: "STRHX", cycles: 2, hasRm: true, isStore: true},
-	OpStrbX: {name: "STRBX", cycles: 2, hasRm: true, isStore: true},
+	OpLdr:   {name: "LDR", cycles: 2, signed: true, isLoad: true, access: 4},
+	OpLdrh:  {name: "LDRH", cycles: 2, signed: true, isLoad: true, access: 2},
+	OpLdrb:  {name: "LDRB", cycles: 2, signed: true, isLoad: true, access: 1},
+	OpStr:   {name: "STR", cycles: 2, signed: true, isStore: true, access: 4},
+	OpStrh:  {name: "STRH", cycles: 2, signed: true, isStore: true, access: 2},
+	OpStrb:  {name: "STRB", cycles: 2, signed: true, isStore: true, access: 1},
+	OpLdrX:  {name: "LDRX", cycles: 2, hasRm: true, isLoad: true, access: 4},
+	OpLdrhX: {name: "LDRHX", cycles: 2, hasRm: true, isLoad: true, access: 2},
+	OpLdrbX: {name: "LDRBX", cycles: 2, hasRm: true, isLoad: true, access: 1},
+	OpStrX:  {name: "STRX", cycles: 2, hasRm: true, isStore: true, access: 4},
+	OpStrhX: {name: "STRHX", cycles: 2, hasRm: true, isStore: true, access: 2},
+	OpStrbX: {name: "STRBX", cycles: 2, hasRm: true, isStore: true, access: 1},
 
 	OpB:   {name: "B", cycles: 2, signed: true, isBranch: true},
 	OpBeq: {name: "BEQ", cycles: 1, signed: true, isBranch: true},
@@ -283,6 +284,10 @@ func (op Opcode) IsLoad() bool { return opTable[op].isLoad }
 
 // IsStore reports whether the opcode writes data memory.
 func (op Opcode) IsStore() bool { return opTable[op].isStore }
+
+// AccessBytes returns the data-memory access width of a load or store in
+// bytes (4, 2 or 1), or 0 for every other opcode.
+func (op Opcode) AccessBytes() int { return int(opTable[op].access) }
 
 // IsMul reports whether the opcode uses the iterative multiplier (precise or
 // anytime subword-pipelined form).

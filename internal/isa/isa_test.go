@@ -243,3 +243,20 @@ func TestClassPredicates(t *testing.T) {
 		t.Error("out-of-range opcode should render as OP(n)")
 	}
 }
+
+func TestAccessBytes(t *testing.T) {
+	want := map[Opcode]int{
+		OpLdr: 4, OpLdrX: 4, OpStr: 4, OpStrX: 4,
+		OpLdrh: 2, OpLdrhX: 2, OpStrh: 2, OpStrhX: 2,
+		OpLdrb: 1, OpLdrbX: 1, OpStrb: 1, OpStrbX: 1,
+	}
+	for op := Opcode(0); int(op) < NumOpcodes; op++ {
+		w, mem := want[op]
+		if mem != (op.IsLoad() || op.IsStore()) {
+			t.Errorf("%s: width table and load/store class disagree", op.Name())
+		}
+		if got := op.AccessBytes(); got != w {
+			t.Errorf("%s.AccessBytes() = %d, want %d", op.Name(), got, w)
+		}
+	}
+}

@@ -249,7 +249,7 @@ func TestRestartNeedsEmbedding(t *testing.T) {
 	p := tinyParams(b)
 	in := b.Inputs(p, 7)
 	c := compileVariant(t, b, p, compiler.ModeSWP, 4, compiler.Options{})
-	rep, err := faultinject.Run(
+	rep, err := faultinject.RunLockstep(
 		faultinject.FromCompiled(b.Name, c, in),
 		faultinject.Config{Policy: nnRuntimes[3].policy},
 		faultinject.Schedule{Points: 8})

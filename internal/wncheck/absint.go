@@ -210,17 +210,6 @@ func shiftARc(v, by uint32) uint32 {
 	return uint32(int32(v) >> by)
 }
 
-// accessSize returns the byte width of a memory opcode.
-func accessSize(op isa.Opcode) int {
-	switch op {
-	case isa.OpLdrh, isa.OpStrh, isa.OpLdrhX, isa.OpStrhX:
-		return 2
-	case isa.OpLdrb, isa.OpStrb, isa.OpLdrbX, isa.OpStrbX:
-		return 1
-	}
-	return 4
-}
-
 // effAddr resolves the effective address of a memory instruction when the
 // operands are statically known.
 func (s *dfState) effAddr(in isa.Instruction) (uint32, bool) {
@@ -272,7 +261,7 @@ func (c *checker) step(s *dfState, idx int, check bool) {
 	if op.IsLoad() || op.IsStore() {
 		if addr, ok := s.effAddr(in); ok {
 			memAddr, memOK = addr, true
-			size := accessSize(op)
+			size := op.AccessBytes()
 			dataEnd := uint32(mem.DataBase) + uint32(c.opts.Mem.DataBytes)
 			inData := addr >= mem.DataBase && addr < dataEnd
 			if op.IsLoad() && inData {

@@ -93,7 +93,7 @@ func (c *checker) checkInstr(s *dfState, idx int) {
 		if !ok {
 			return
 		}
-		size := accessSize(op)
+		size := op.AccessBytes()
 		kind := "load"
 		if op.IsStore() {
 			kind = "store"

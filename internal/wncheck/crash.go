@@ -215,7 +215,7 @@ func (c *checker) checkCommitOrder(idx int) {
 		}
 		if ins.in.Op.IsStore() {
 			if addr, ok := s.effAddr(ins.in); ok && locClassOf(addr, c.opts.Mem, c.opts.Input) == ClassNV {
-				first, last := coveredWords(addr, accessSize(ins.in.Op))
+				first, last := coveredWords(addr, ins.in.Op.AccessBytes())
 				for w := first; w <= last; w += 4 {
 					if cur, ok := stores[w]; !ok || i < cur {
 						stores[w] = i
@@ -241,7 +241,7 @@ func (c *checker) checkCommitOrder(idx int) {
 		}
 		if ins.in.Op.IsLoad() {
 			if addr, ok := s.effAddr(ins.in); ok && locClassOf(addr, c.opts.Mem, c.opts.Input) == ClassNV {
-				first, last := coveredWords(addr, accessSize(ins.in.Op))
+				first, last := coveredWords(addr, ins.in.Op.AccessBytes())
 				for w := first; w <= last; w += 4 {
 					if cur, ok := reads[w]; !ok || i < cur {
 						reads[w] = i
