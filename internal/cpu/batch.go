@@ -55,14 +55,18 @@ const MaxInstrCycles = 16
 // on NV-data stores, so runtime-visible behavior is the same as calling the
 // hook on every store. The differential tests check this loop against an
 // independent reference interpreter kept in the tests.
+//
+// Run gives the same results through fused superblocks; RunUntil is the
+// interpreter it falls back on for the blocks it cannot fuse.
 func (c *CPU) RunUntil(budget uint64, costs *[]Cost) (BatchResult, error) {
-	return c.runUntil(budget, costs, c.BeforeStore != nil)
+	return c.runUntil(budget, costs, c.BeforeStore != nil, nil)
 }
 
-// runUntil is RunUntil with the StopStore gate explicit: stopStores stops
-// ahead of NV-data stores. Step passes false, having called the hook
-// itself.
-func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool) (BatchResult, error) {
+// runUntil is RunUntil with the StopStore gate explicit and a resume
+// point: stopStores stops ahead of NV-data stores, and a non-nil resume
+// also ends the loop, with StopBudget, once PC reaches a block Run can
+// fuse. Step passes false, having called the hook itself.
+func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool, resume *resumeAt) (BatchResult, error) {
 	var res BatchResult
 	if c.Halted {
 		res.Reason = StopHalt
@@ -322,6 +326,9 @@ func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool) (BatchResu
 		}
 		if op == isa.OpSkm {
 			reason = StopSkim
+			break
+		}
+		if resume != nil && resume.fusable(pc) {
 			break
 		}
 	}

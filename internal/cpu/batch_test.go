@@ -54,6 +54,25 @@ var diffPrograms = map[string]string{
 		LSL R1, R0, #1
 		BX LR
 	`,
+	// A store-free multiply loop: with costs wanted and no memo table, Run
+	// fuses it, and with a memo table its multiplies hit and miss.
+	"mul-loop": `
+		MOVI R0, #0
+		MOVTI R0, #4096
+		MOVI R1, #60
+		MOVI R5, #3
+	loop:
+		LDRH R2, [R0, #0]
+		MUL R3, R2, R5
+		MUL_ASP4 R3, R2, #1
+		MUL R6, R1, R5
+		ADD R4, R4, R3
+		ADD R4, R4, R6
+		SUBIS R1, R1, #1
+		BNE loop
+		STR R4, [R0, #8]
+		HALT
+	`,
 	"skim": `
 		MOVI R0, #3
 		SKM done

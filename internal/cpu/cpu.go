@@ -82,6 +82,9 @@ type CPU struct {
 	// Per-CPU (not on the shared translation) so forked cores never race.
 	sbRuns  []uint64
 	sbDirty []uint32
+	// sbInstrs counts the instructions Run has retired through fused
+	// blocks, so tests can check how much of a run the superblocks carry.
+	sbInstrs uint64
 }
 
 // decoded is one predecoded instruction slot: the decoded form plus its
@@ -305,7 +308,7 @@ func (c *CPU) Step() (Cost, error) {
 		}
 	}
 	nv := c.Mem.NVWrites
-	res, err := c.runUntil(1, nil, false)
+	res, err := c.runUntil(1, nil, false, nil)
 	if err != nil {
 		return Cost{}, err
 	}

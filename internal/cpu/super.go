@@ -47,8 +47,9 @@ type transBlock struct {
 	cyc   []uint32
 	amens []bool
 	// costs holds the per-instruction Cost records emitted on the cost-replay
-	// path. Only valid when the block has neither stores nor multiplies
-	// (then every cost is static with zero NV writes); the gate enforces it.
+	// path. Only valid when the block has no stores and, with a memo table
+	// installed, no multiplies (then every cost is static with zero NV
+	// writes); the gates enforce it.
 	costs []Cost
 
 	opCounts []opCount
@@ -60,22 +61,29 @@ type transBlock struct {
 // contract: same stop reasons, same overshoot bound (budget +
 // MaxInstrCycles - 1), same Stats and cost replay semantics.
 //
-// Run executes translated superblocks. At each block boundary it either
-// executes a fused block — when one starts at PC, fits the remaining budget
-// in the worst case, and no runtime-visibility gate applies — or hands the
-// rest of the window to RunUntil. Delegation (rather than a private slow
-// path) keeps the deopt semantics definitionally identical to the batched
-// interpreter: every stop reason, fault message, hook interaction, and the
-// overshoot bound come from the same code.
+// Run executes translated superblocks. At each block boundary it executes
+// a fused block when one starts at PC, fits the remaining budget in the
+// worst case, and no runtime-visibility gate applies. Otherwise it
+// deoptimizes: RunUntil's interpreter runs from PC until PC reaches a
+// block the gates let Run fuse, and Run resumes fusing there. A loop whose
+// blocks all fail a gate thus stays in one interpreter call.
+// Only a block that may not fit the remaining budget hands the rest of the
+// window to the interpreter, which must pick the exact stop instruction.
+// Delegation (rather than a private slow path) keeps the deopt semantics
+// definitionally identical to the batched interpreter: every stop reason,
+// fault message, hook interaction, and the overshoot bound come from the
+// same code.
 //
-// Gates forcing deoptimization at a block:
+// Gates deoptimizing a block:
 //   - a BeforeStore hook is installed and the block stores (the hook must
 //     observe NV-data stores at instruction granularity via StopStore);
-//   - the caller wants per-instruction costs and the block stores or
-//     multiplies (store costs carry NV-write counts, memoized multiplies
-//     have data-dependent cycles);
-//   - the block's worst-case cycles do not fit the remaining budget (the
-//     interpreter must pick the exact stop instruction).
+//   - the caller wants per-instruction costs and the block stores (store
+//     costs carry NV-write counts);
+//   - the caller wants costs, a memo table is installed and the block
+//     multiplies (memoized multiplies have data-dependent cycles; without
+//     a memo table a multiply's cost is static and the block's costs are
+//     exact);
+//   - the block's worst-case cycles do not fit the remaining budget.
 func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
 	var res BatchResult
 	if c.Halted {
@@ -95,13 +103,21 @@ func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
 	}
 
 	var (
-		tr                        = c.trans
-		hook                      = c.BeforeStore != nil
-		wantCosts                 = costs != nil
+		tr        = c.trans
+		hook      = c.BeforeStore != nil
+		wantCosts = costs != nil
+		resume    = resumeAt{
+			blockAt: tr.blockAt,
+			stores:  hook || wantCosts,
+			muls:    wantCosts && c.Memo != nil,
+		}
 		regs                      = &c.Regs
 		cycAcc, instrAcc, amenAcc uint64
-		reason                    = StopBudget
-		fault                     error
+		// The interpreter's share of the window, which runUntil has
+		// already added to Stats.
+		interpCycles, interpInstrs uint64
+		reason                     = StopBudget
+		fault                      error
 	)
 
 	pc := regs[isa.PC]
@@ -111,20 +127,21 @@ func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
 		if pc%isa.InstBytes == 0 && slot < uint32(len(tr.blockAt)) {
 			tb = tr.blockAt[slot]
 		}
-		if tb == nil ||
-			cycAcc+tb.maxCycles > budget ||
-			(hook && tb.hasStore) ||
-			(wantCosts && (tb.hasStore || tb.hasMul)) {
-			// Deoptimize: the batched interpreter finishes the window.
-			instrAcc, amenAcc = c.flushSuperCounts(instrAcc, amenAcc)
-			sub, err := c.RunUntil(budget-cycAcc, costs)
-			res.Cycles = cycAcc + sub.Cycles
-			res.Instructions = instrAcc + sub.Instructions
-			res.Reason = sub.Reason
-			c.Stats.Cycles += cycAcc
-			c.Stats.Instructions += instrAcc
-			c.Stats.AmenableOps += amenAcc
-			return res, err
+		if tb == nil || cycAcc+tb.maxCycles > budget || resume.gated(tb) {
+			r := &resume
+			if tb != nil && cycAcc+tb.maxCycles > budget {
+				r = nil // the rest of the window
+			}
+			sub, err := c.runUntil(budget-cycAcc, costs, hook, r)
+			cycAcc += sub.Cycles
+			interpCycles += sub.Cycles
+			interpInstrs += sub.Instructions
+			if err != nil || sub.Reason != StopBudget {
+				reason, fault = sub.Reason, err
+				break
+			}
+			pc = regs[isa.PC]
+			continue
 		}
 
 		// Execute the block — and when it is a self-loop (its terminator
@@ -212,13 +229,37 @@ func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
 	}
 
 	instrAcc, amenAcc = c.flushSuperCounts(instrAcc, amenAcc)
+	c.sbInstrs += instrAcc
 	res.Cycles = cycAcc
-	res.Instructions = instrAcc
+	res.Instructions = instrAcc + interpInstrs
 	res.Reason = reason
-	c.Stats.Cycles += cycAcc
+	c.Stats.Cycles += cycAcc - interpCycles
 	c.Stats.Instructions += instrAcc
 	c.Stats.AmenableOps += amenAcc
 	return res, fault
+}
+
+// resumeAt tells the interpreter where Run can fuse again: at the start of
+// a block that the window's gates do not keep on the interpreter.
+type resumeAt struct {
+	blockAt []*transBlock
+	stores  bool // blocks that store stay on the interpreter
+	muls    bool // blocks that multiply stay on the interpreter
+}
+
+// gated reports whether the window's gates keep tb on the interpreter.
+func (r resumeAt) gated(tb *transBlock) bool {
+	return r.stores && tb.hasStore || r.muls && tb.hasMul
+}
+
+// fusable reports whether a fused block Run may execute starts at pc.
+func (r resumeAt) fusable(pc uint32) bool {
+	slot := (pc - mem.CodeBase) / isa.InstBytes
+	if pc%isa.InstBytes != 0 || slot >= uint32(len(r.blockAt)) {
+		return false
+	}
+	tb := r.blockAt[slot]
+	return tb != nil && !r.gated(tb)
 }
 
 // flushSuperCounts applies the deferred per-block run tallies to

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,6 +67,102 @@ func TestRunSuperMatchesStepAndBatch(t *testing.T) {
 				assertSameState(t, ref, bat, refM, batM)
 				assertSameState(t, ref, sup, refM, supM)
 			})
+		}
+	}
+
+	// Window by window, with costs collected: Run and RunUntil must agree
+	// on every window's result, cost records and state, with and without
+	// a memo table and a store hook, at every budget up to a few blocks'
+	// worst-case cycles (so each block meets the budget edge at every
+	// offset) and at an unbounded one.
+	var windowBudgets []uint64
+	for b := uint64(1); b <= 32; b++ {
+		windowBudgets = append(windowBudgets, b)
+	}
+	windowBudgets = append(windowBudgets, 64, 1<<62)
+	for name, src := range diffPrograms {
+		for _, memo := range []bool{false, true} {
+			for _, hook := range []bool{false, true} {
+				t.Run(fmt.Sprintf("lockstep/%s/memo=%v/hook=%v", name, memo, hook), func(t *testing.T) {
+					prepare := func() (*CPU, *mem.Memory) {
+						c, m := device(t, src)
+						if memo {
+							c.Memo = NewMemoTable()
+						}
+						if hook {
+							c.BeforeStore = func(uint32, int) {}
+						}
+						return c, m
+					}
+					ref, refM := prepare()
+					if _, _, err := stepRef(t, ref); err != nil {
+						t.Fatal(err)
+					}
+					for _, budget := range windowBudgets {
+						sup, supM := prepare()
+						bat, batM := prepare()
+						lockstepWindows(t, sup, bat, budget, 1_000_000)
+						if !sup.Halted {
+							t.Fatalf("budget %d: program did not halt", budget)
+						}
+						assertSameState(t, ref, sup, refM, supM)
+						if !supM.StateEqual(batM) {
+							t.Fatalf("budget %d: memory diverges Run vs RunUntil", budget)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// lockstepWindows drives sup through Run and bat through RunUntil in
+// windows of the same budget, collecting costs, and fails at the first
+// window whose BatchResult, fault, cost records, registers, flags, halt and
+// skim state or Stats differ. A StopStore window is followed by a Step on
+// both, as the runtimes do. It returns at halt or fault, or after
+// maxWindows windows.
+func lockstepWindows(t *testing.T, sup, bat *CPU, budget uint64, maxWindows int) {
+	t.Helper()
+	var supCosts, batCosts []Cost
+	for w := 0; w < maxWindows && !sup.Halted; w++ {
+		supCosts, batCosts = supCosts[:0], batCosts[:0]
+		supRes, supErr := sup.Run(budget, &supCosts)
+		batRes, batErr := bat.RunUntil(budget, &batCosts)
+		if supRes != batRes {
+			t.Fatalf("budget %d window %d: Run %+v, RunUntil %+v", budget, w, supRes, batRes)
+		}
+		if (supErr == nil) != (batErr == nil) || supErr != nil && supErr.Error() != batErr.Error() {
+			t.Fatalf("budget %d window %d: faults diverge: Run %v, RunUntil %v", budget, w, supErr, batErr)
+		}
+		if len(supCosts) != len(batCosts) {
+			t.Fatalf("budget %d window %d: Run recorded %d costs, RunUntil %d", budget, w, len(supCosts), len(batCosts))
+		}
+		for i := range supCosts {
+			if supCosts[i] != batCosts[i] {
+				t.Fatalf("budget %d window %d: cost %d is %+v from Run, %+v from RunUntil",
+					budget, w, i, supCosts[i], batCosts[i])
+			}
+		}
+		if sup.Regs != bat.Regs || sup.N != bat.N || sup.Z != bat.Z || sup.C != bat.C || sup.V != bat.V ||
+			sup.Halted != bat.Halted || sup.SkimArmed != bat.SkimArmed || sup.SkimTarget != bat.SkimTarget {
+			t.Fatalf("budget %d window %d: architectural state diverges", budget, w)
+		}
+		if sup.Stats != bat.Stats {
+			t.Fatalf("budget %d window %d: stats diverge:\nRun      %+v\nRunUntil %+v", budget, w, sup.Stats, bat.Stats)
+		}
+		if supErr != nil {
+			return
+		}
+		if supRes.Reason == StopStore {
+			supCost, supErr := sup.Step()
+			batCost, batErr := bat.Step()
+			if supCost != batCost || (supErr == nil) != (batErr == nil) {
+				t.Fatalf("budget %d window %d: store steps diverge", budget, w)
+			}
+			if supErr != nil {
+				return
+			}
 		}
 	}
 }
@@ -428,7 +525,8 @@ func randomProgram(rng *rand.Rand, seedWords []uint32) []byte {
 // budget=1 (one instruction per window — every boundary observed), and the
 // superblock executor, diffing registers, flags, skim state, and NV memory
 // at every instruction boundary, and full state (including Stats) at the
-// end.
+// end. A last phase runs Run and RunUntil in lockstep windows with costs
+// collected, with and without a memo table and a store hook.
 func TestFuzzCorpusDifferential(t *testing.T) {
 	const (
 		programs      = 40
@@ -526,6 +624,30 @@ func TestFuzzCorpusDifferential(t *testing.T) {
 		}
 		if !refM.StateEqual(supM) {
 			t.Fatalf("program %d: memory diverges ref vs sup", pi)
+		}
+
+		// Phase 3: Run against RunUntil window by window with costs
+		// collected, with and without a memo table and a store hook.
+		for _, budget := range []uint64{1, 23, 500} {
+			for _, memo := range []bool{false, true} {
+				for _, hook := range []bool{false, true} {
+					sup, supM := newDev()
+					bat, batM := newDev()
+					for _, c := range []*CPU{sup, bat} {
+						if memo {
+							c.Memo = NewMemoTable()
+						}
+						if hook {
+							c.BeforeStore = func(uint32, int) {}
+						}
+					}
+					lockstepWindows(t, sup, bat, budget, maxBoundaries)
+					if !supM.StateEqual(batM) {
+						t.Fatalf("program %d budget %d memo %v hook %v: memory diverges Run vs RunUntil",
+							pi, budget, memo, hook)
+					}
+				}
+			}
 		}
 	}
 }

@@ -93,3 +93,37 @@ func TestBatchedContinuousMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestRunFusesCostedMultiplyLoop: with per-instruction costs wanted and no
+// memo table, as in every intermittent window of the paper's default
+// configuration, Run retires at least 90 % of the Conv2d swp8 build's
+// instructions through fused superblocks: a multiply no longer sends a
+// block to the interpreter.
+func TestRunFusesCostedMultiplyLoop(t *testing.T) {
+	b := workloads.Conv2d()
+	p := b.ScaledParams()
+	c, err := compiler.Compile(b.Build(p, 8, true), compiler.Options{Mode: b.Mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mem.New(mem.DefaultConfig())
+	if err := m.LoadProgram(c.Program.Image); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InstallData(m, b.Inputs(p, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cp := cpu.New(m)
+	var costs []cpu.Cost
+	for !cp.Halted {
+		costs = costs[:0]
+		if _, err := cp.Run(2000, &costs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fused, total := cp.FusedInstructions(), cp.Stats.Instructions
+	t.Logf("%d of %d instructions fused (%.1f %%)", fused, total, 100*float64(fused)/float64(total))
+	if fused*10 < total*9 {
+		t.Errorf("only %d of %d instructions ran fused, want at least 90 %%", fused, total)
+	}
+}

@@ -254,9 +254,14 @@ func preciseCycles(b *workloads.Benchmark, p workloads.Params, seed int64) (uint
 // intermittentSystem builds a powered device on a seeded synthetic Wi-Fi
 // trace for the given processor kind.
 func intermittentSystem(proc core.Processor, traceSeed int64, memo bool) *core.System {
+	return intermittentSystemOn(proc, energy.SyntheticWiFiTrace(traceSeed, energy.DefaultTraceConfig()), memo)
+}
+
+// intermittentSystemOn builds a powered device on a given harvest trace. The
+// supply only reads the trace, so devices may share one.
+func intermittentSystemOn(proc core.Processor, trace *energy.Trace, memo bool) *core.System {
 	cfg := core.DefaultConfig()
 	cfg.Processor = proc
 	cfg.Memoization = memo
-	trace := energy.SyntheticWiFiTrace(traceSeed, energy.DefaultTraceConfig())
 	return core.NewSystem(cfg, trace)
 }

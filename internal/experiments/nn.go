@@ -183,7 +183,7 @@ func nnRow(b *workloads.Benchmark, p workloads.Params, bits int, cells []nnCell)
 }
 
 // resolveNN rebuilds an NN cell from its spec (the "nn" registry entry).
-func resolveNN(s sweep.Spec) (func() (any, error), error) {
+func resolveNN(s sweep.Spec, _ *preciseTable) (func() (any, error), error) {
 	b, err := workloads.ByName(s.Kernel)
 	if err != nil {
 		return nil, err

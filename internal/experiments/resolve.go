@@ -22,8 +22,9 @@ import (
 // specResolvers maps an experiment name to the function that rebuilds its
 // Run closures from specs: table1 (one cell per kernel), speedup (Figure
 // 10/11, one cell per kernel, bits, trace and input) and nn (one cell per
-// kernel, bits and input).
-var specResolvers = map[string]func(sweep.Spec) (func() (any, error), error){
+// kernel, bits and input). Each resolver also gets the precise-baseline
+// table of the batch the spec is resolved in; only speedup uses it.
+var specResolvers = map[string]func(sweep.Spec, *preciseTable) (func() (any, error), error){
 	"table1":  resolveTable1,
 	"speedup": resolveSpeedup,
 	"nn":      resolveNN,
@@ -31,8 +32,13 @@ var specResolvers = map[string]func(sweep.Spec) (func() (any, error), error){
 
 // ResolveSpec validates a spec against the registry and reconstructs its
 // runnable job. The returned job's Run closure is the same pure function of
-// the spec that the study itself would enumerate.
+// the spec that the study itself would enumerate. A speedup job resolved
+// alone simulates its own precise baseline.
 func ResolveSpec(s sweep.Spec) (sweep.Job, error) {
+	return resolveSpec(s, &preciseTable{})
+}
+
+func resolveSpec(s sweep.Spec, base *preciseTable) (sweep.Job, error) {
 	resolve, ok := specResolvers[s.Experiment]
 	if !ok {
 		names := make([]string, 0, len(specResolvers))
@@ -43,7 +49,7 @@ func ResolveSpec(s sweep.Spec) (sweep.Job, error) {
 		return sweep.Job{}, fmt.Errorf("experiments: unresolvable experiment %q (resolvable: %s)",
 			s.Experiment, strings.Join(names, ", "))
 	}
-	run, err := resolve(s)
+	run, err := resolve(s, base)
 	if err != nil {
 		return sweep.Job{}, fmt.Errorf("experiments: %s spec: %w", s.Experiment, err)
 	}
@@ -51,10 +57,16 @@ func ResolveSpec(s sweep.Spec) (sweep.Job, error) {
 }
 
 // ResolveSpecs resolves a batch, naming the index of the first bad spec.
+// The batch's speedup jobs share one table of precise baselines, keyed by
+// every spec field except bits: each distinct baseline is simulated once,
+// by the first job that needs it, and its result (or error) goes to every
+// job that shares it. The table belongs to the returned jobs alone, so
+// another ResolveSpecs call simulates its baselines afresh.
 func ResolveSpecs(specs []sweep.Spec) ([]sweep.Job, error) {
+	base := &preciseTable{}
 	jobs := make([]sweep.Job, len(specs))
 	for i, s := range specs {
-		j, err := ResolveSpec(s)
+		j, err := resolveSpec(s, base)
 		if err != nil {
 			return nil, fmt.Errorf("spec %d: %w", i, err)
 		}
@@ -109,7 +121,7 @@ func checkVariant(s sweep.Spec, want string) error {
 	return nil
 }
 
-func resolveTable1(s sweep.Spec) (func() (any, error), error) {
+func resolveTable1(s sweep.Spec, _ *preciseTable) (func() (any, error), error) {
 	b, err := workloads.ByName(s.Kernel)
 	if err != nil {
 		return nil, err
@@ -124,7 +136,7 @@ func resolveTable1(s sweep.Spec) (func() (any, error), error) {
 	return func() (any, error) { return runTable1Cell(b, p) }, nil
 }
 
-func resolveSpeedup(s sweep.Spec) (func() (any, error), error) {
+func resolveSpeedup(s sweep.Spec, base *preciseTable) (func() (any, error), error) {
 	b, err := workloads.ByName(s.Kernel)
 	if err != nil {
 		return nil, err
@@ -147,6 +159,6 @@ func resolveSpeedup(s sweep.Spec) (func() (any, error), error) {
 	if err := checkVariant(s, WNVariant(b, p, bits).String()); err != nil {
 		return nil, err
 	}
-	traceSeed, inputSeed := s.TraceSeed, s.InputSeed
-	return func() (any, error) { return runSpeedupCell(proc, b, p, bits, traceSeed, inputSeed) }, nil
+	key := baselineKey(s)
+	return func() (any, error) { return runSpeedupCell(base, key, proc, b, p, bits) }, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"whatsnext/internal/core"
 	"whatsnext/internal/energy"
@@ -40,26 +41,28 @@ func (c speedupCell) SimulatedCycles() uint64 { return c.WNCycles + c.PreciseCyc
 // completion. Speedup compares wall-clock completion times per input.
 //
 // Every (benchmark, bits, trace, invocation) cell is an independent job;
-// the whole study is submitted to the sweep engine as one batch so all
-// cells across all benchmarks run concurrently.
+// the whole study, both bit widths, is resolved and submitted to the sweep
+// engine as one batch, so all cells run concurrently and the 8- and 4-bit
+// cells of a (benchmark, trace, invocation) share one precise baseline.
 func SpeedupStudy(proc core.Processor, proto Protocol) ([]SpeedupRow, error) {
 	type group struct {
 		b    *workloads.Benchmark
 		bits int
 		n    int
 	}
-	var jobs []sweep.Job
+	var specs []sweep.Spec
 	var groups []group
 	for _, b := range workloads.All() {
 		p := proto.params(b)
 		for _, bits := range []int{8, 4} {
-			gj, err := speedupJobs(proc, b, p, bits, proto)
-			if err != nil {
-				return nil, err
-			}
-			groups = append(groups, group{b, bits, len(gj)})
-			jobs = append(jobs, gj...)
+			gs := speedupSpecs(proc, b, p, bits, proto)
+			groups = append(groups, group{b, bits, len(gs)})
+			specs = append(specs, gs...)
 		}
+	}
+	jobs, err := ResolveSpecs(specs)
+	if err != nil {
+		return nil, err
 	}
 	cells, err := runSweep[speedupCell](proto.runner(), jobs)
 	if err != nil {
@@ -89,40 +92,90 @@ func speedupSpec(proc core.Processor, b *workloads.Benchmark, p workloads.Params
 	}
 }
 
-// speedupJobs enumerates the (trace, invocation) cells of one bar pair,
-// routing each spec through the resolver registry so every cell runs the
-// closure its spec names.
-func speedupJobs(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, proto Protocol) ([]sweep.Job, error) {
-	var jobs []sweep.Job
+// speedupSpecs enumerates the (trace, invocation) cells of one bar pair.
+func speedupSpecs(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, proto Protocol) []sweep.Spec {
+	var specs []sweep.Spec
 	for t := 0; t < proto.Traces; t++ {
 		traceSeed := int64(1000 + 17*t)
 		for inv := 0; inv < proto.Invocations; inv++ {
-			j, err := ResolveSpec(speedupSpec(proc, b, p, bits, traceSeed, int64(1+inv)))
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, j)
+			specs = append(specs, speedupSpec(proc, b, p, bits, traceSeed, int64(1+inv)))
 		}
 	}
-	return jobs, nil
+	return specs
 }
 
-// runSpeedupCell simulates one cell: the WN and precise builds on the same
-// seeded trace and input. It is self-contained (compiles its own binaries)
-// so cells can run on any worker.
-func runSpeedupCell(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, traceSeed, inputSeed int64) (speedupCell, error) {
+// preciseKey names one precise baseline: every field of a speedup spec
+// except bits, which only the WN build depends on.
+type preciseKey struct {
+	kernel, workload, processor, source string
+	traceSeed, inputSeed                int64
+}
+
+// baselineKey is the precise baseline a speedup spec's cell compares with.
+func baselineKey(s sweep.Spec) preciseKey {
+	return preciseKey{
+		kernel:    s.Kernel,
+		workload:  s.Params["workload"],
+		processor: s.Processor,
+		source:    s.Source,
+		traceSeed: s.TraceSeed,
+		inputSeed: s.InputSeed,
+	}
+}
+
+// preciseTable shares precise baselines among the speedup cells of one
+// ResolveSpecs batch, and lives only as long as that batch's jobs. The
+// first cell that needs a key simulates it; the others reuse the result,
+// error included, or wait for it while it is still running.
+type preciseTable struct {
+	mu      sync.Mutex
+	entries map[preciseKey]*preciseEntry
+}
+
+type preciseEntry struct {
+	once   sync.Once
+	cycles uint64
+	err    error
+}
+
+// cycles returns the precise cycle count of key, calling sim if no cell of
+// the batch has yet. A waiting caller never waits longer than calling sim
+// itself would take, and the caller running sim waits on nothing, so
+// sharing cannot deadlock.
+func (t *preciseTable) cycles(key preciseKey, sim func() (uint64, error)) (uint64, error) {
+	t.mu.Lock()
+	e := t.entries[key]
+	if e == nil {
+		if t.entries == nil {
+			t.entries = make(map[preciseKey]*preciseEntry)
+		}
+		e = new(preciseEntry)
+		t.entries[key] = e
+	}
+	t.mu.Unlock()
+	e.once.Do(func() { e.cycles, e.err = simulateBaseline(key, sim) })
+	return e.cycles, e.err
+}
+
+// simulateBaseline runs the simulation of one precise baseline. Tests swap
+// it to count or fail the baselines a batch simulates.
+var simulateBaseline = func(_ preciseKey, sim func() (uint64, error)) (uint64, error) { return sim() }
+
+// runSpeedupCell simulates one cell: the WN build on the seeded trace and
+// input, then the precise build on the same trace and input, which it takes
+// from the batch's baseline table (simulating it there if it is the first
+// cell of the batch to need it). It compiles its own binaries so cells can
+// run on any worker.
+func runSpeedupCell(base *preciseTable, key preciseKey, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) (speedupCell, error) {
 	wn, err := WNVariant(b, p, bits).Compile()
 	if err != nil {
 		return speedupCell{}, err
 	}
-	precise, err := PreciseVariant(b, p).Compile()
-	if err != nil {
-		return speedupCell{}, err
-	}
-	in := b.Inputs(p, inputSeed)
+	in := b.Inputs(p, key.inputSeed)
 	golden := b.Golden(p, in)
+	trace := energy.SyntheticWiFiTrace(key.traceSeed, energy.DefaultTraceConfig())
 
-	wnSys := intermittentSystem(proc, traceSeed, false)
+	wnSys := intermittentSystemOn(proc, trace, false)
 	if err := wnSys.Load(wn); err != nil {
 		return speedupCell{}, err
 	}
@@ -135,19 +188,35 @@ func runSpeedupCell(proc core.Processor, b *workloads.Benchmark, p workloads.Par
 		return speedupCell{}, err
 	}
 
-	prSys := intermittentSystem(proc, traceSeed, false)
-	if err := prSys.Load(precise); err != nil {
-		return speedupCell{}, err
-	}
-	prRes, err := prSys.RunInput(in)
+	preciseCycles, err := base.cycles(key, func() (uint64, error) {
+		return simulatePrecise(proc, b, p, trace, in)
+	})
 	if err != nil {
 		return speedupCell{}, err
 	}
 	return speedupCell{
 		WNCycles:      wnRes.TotalCycles(),
-		PreciseCycles: prRes.TotalCycles(),
+		PreciseCycles: preciseCycles,
 		NRMSE:         quality.NRMSE(wnOut, golden),
 	}, nil
+}
+
+// simulatePrecise runs the precise build to exact completion on a trace and
+// input and returns its wall-clock cycles.
+func simulatePrecise(proc core.Processor, b *workloads.Benchmark, p workloads.Params, trace *energy.Trace, in map[string][]int64) (uint64, error) {
+	precise, err := PreciseVariant(b, p).Compile()
+	if err != nil {
+		return 0, err
+	}
+	sys := intermittentSystemOn(proc, trace, false)
+	if err := sys.Load(precise); err != nil {
+		return 0, err
+	}
+	res, err := sys.RunInput(in)
+	if err != nil {
+		return 0, err
+	}
+	return res.TotalCycles(), nil
 }
 
 // speedupRow aggregates a bar pair's cells into the published medians.
@@ -168,7 +237,7 @@ func speedupRow(b *workloads.Benchmark, bits int, cells []speedupCell) SpeedupRo
 
 // speedupOne runs a single bar pair through the engine (used by tests).
 func speedupOne(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, proto Protocol) (SpeedupRow, error) {
-	jobs, err := speedupJobs(proc, b, p, bits, proto)
+	jobs, err := ResolveSpecs(speedupSpecs(proc, b, p, bits, proto))
 	if err != nil {
 		return SpeedupRow{}, err
 	}

@@ -520,18 +520,46 @@ func TestNoTraceOutOfPower(t *testing.T) {
 	}
 }
 
+// mulLoopProgram is a dot-product shape: a store-free multiply inner loop
+// and one store per outer pass. With no memo table its multiplies have
+// static costs, so Run fuses the inner loop while collecting costs.
+const mulLoopProgram = `
+	MOVI R10, #96       ; outer passes
+outer:
+	MOVI R0, #0
+	MOVTI R0, #4096     ; &X[0]
+	MOVI R1, #64        ; i
+	MOVI R4, #0
+loop:
+	LDR R2, [R0, #0]
+	MUL R3, R2, R1
+	ADD R4, R4, R3
+	ADDI R0, R0, #4
+	SUBIS R1, R1, #1
+	BNE loop
+	STR R4, [R0, #0]    ; one result word per pass
+	SUBIS R10, R10, #1
+	BNE outer
+	HALT
+`
+
 // BenchmarkRunToHalt measures the batched runner, policy and supply replay
-// together: accumProgram to halt under each checkpointing policy over a
-// Wi-Fi harvest trace with outages. Device construction is excluded from
-// the timing.
+// together: accumProgram to halt under each checkpointing policy, and
+// mulLoopProgram under Clank, over a Wi-Fi harvest trace with outages.
+// Device construction is excluded from the timing.
 func BenchmarkRunToHalt(b *testing.B) {
-	p, err := asm.Assemble(accumProgram)
-	if err != nil {
-		b.Fatal(err)
-	}
 	trace := energy.SyntheticWiFiTrace(1, energy.DefaultTraceConfig())
-	for _, name := range []string{"clank", "nvp", "undolog"} {
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct{ name, src, policy string }{
+		{"clank", accumProgram, "clank"},
+		{"nvp", accumProgram, "nvp"},
+		{"undolog", accumProgram, "undolog"},
+		{"mul-loop", mulLoopProgram, "clank"},
+	} {
+		p, err := asm.Assemble(bc.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
 			var instrs, outages uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -539,7 +567,7 @@ func BenchmarkRunToHalt(b *testing.B) {
 				if err := m.LoadProgram(p.Image); err != nil {
 					b.Fatal(err)
 				}
-				r := NewRunner(cpu.New(m), m, energy.NewSupply(energy.DefaultDeviceConfig(), trace), policyMakers[name]())
+				r := NewRunner(cpu.New(m), m, energy.NewSupply(energy.DefaultDeviceConfig(), trace), policyMakers[bc.policy]())
 				b.StartTimer()
 				res, err := r.RunToHalt()
 				if err != nil || !res.Halted {
