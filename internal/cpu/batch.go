@@ -7,7 +7,7 @@ import (
 	"whatsnext/internal/mem"
 )
 
-// StopReason tells why RunUntil returned control to the caller.
+// StopReason tells why Run returned control to the caller.
 type StopReason int
 
 const (
@@ -27,7 +27,7 @@ const (
 	StopFault
 )
 
-// BatchResult summarizes one RunUntil window.
+// BatchResult summarizes one Run window.
 type BatchResult struct {
 	Cycles       uint64
 	Instructions uint64
@@ -36,37 +36,51 @@ type BatchResult struct {
 
 // MaxInstrCycles bounds the cycle cost of any single instruction (the
 // 16-cycle iterative multiply; taken branches cost BaseCycles+1 ≤ 3).
-// Batch schedulers use it to size safety slack: RunUntil stops at the first
-// instruction that reaches its budget, so it overshoots by less than this.
+// Batch schedulers use it to size safety slack: Run stops at the first
+// instruction boundary that reaches its budget, so it overshoots by less
+// than this.
 const MaxInstrCycles = 16
 
-// RunUntil is the per-instruction interpreter: it executes instructions in
-// a tight loop — no per-step call overhead — until the accumulated cycle
-// count reaches budget, the program halts or faults, an SKM arms the skim
-// register, or (when a BeforeStore hook is installed) the next instruction
-// would store into the non-volatile data region. When costs is non-nil
-// every instruction's Cost is appended so the caller can replay energy
-// accounting per instruction.
+// Run is the batched executor the runtimes use. It executes instructions
+// until the accumulated cycle count reaches budget, the program halts or
+// faults, an SKM arms the skim register, or (when a BeforeStore hook is
+// installed) the next instruction would store into the non-volatile data
+// region. A window overshoots its budget by at most MaxInstrCycles - 1.
+// When costs is non-nil every instruction's Cost is appended so the caller
+// can replay energy accounting per instruction.
 //
-// RunUntil never calls BeforeStore. It returns StopStore *before* an
-// NV-data store executes, and the caller runs that one instruction through
-// Step, which calls the hook. Stores outside the NV data region execute
-// inline without the hook — the runtimes in internal/intermittent only act
-// on NV-data stores, so runtime-visible behavior is the same as calling the
-// hook on every store. The differential tests check this loop against an
-// independent reference interpreter kept in the tests.
+// Run never calls BeforeStore. It returns StopStore *before* an NV-data
+// store executes, and the caller runs that one instruction through Step,
+// which calls the hook. Stores outside the NV data region execute inline
+// without the hook — the runtimes in internal/intermittent only act on
+// NV-data stores, so runtime-visible behavior is the same as calling the
+// hook on every store.
 //
-// Run gives the same results through fused superblocks; RunUntil is the
-// interpreter it falls back on for the blocks it cannot fuse.
-func (c *CPU) RunUntil(budget uint64, costs *[]Cost) (BatchResult, error) {
-	return c.runUntil(budget, costs, c.BeforeStore != nil, nil)
+// Every instruction executes through its decode-cache slot's closure
+// (super.go), the only definition of the ISA's semantics. At each PC Run
+// executes a fused superblock when one starts there, fits the remaining
+// budget in the worst case, and no gate keeps it to single instructions;
+// otherwise it executes that one slot. Gates on a block:
+//   - a BeforeStore hook is installed and the block stores (the hook must
+//     observe NV-data stores at instruction granularity via StopStore);
+//   - the caller wants per-instruction costs and the block stores (store
+//     costs carry NV-write counts);
+//   - the caller wants costs, a memo table is installed and the block
+//     multiplies (memoized multiplies have data-dependent cycles; without
+//     a memo table a multiply's cost is static and the block's costs are
+//     exact).
+//
+// A block executes only when it cannot cross the budget, so fusing never
+// moves a window's stop instruction. The differential tests hold Run
+// against an independent reference interpreter kept in the tests and
+// against Run with fusion off.
+func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
+	return c.run(budget, costs, c.BeforeStore != nil, true)
 }
 
-// runUntil is RunUntil with the StopStore gate explicit and a resume
-// point: stopStores stops ahead of NV-data stores, and a non-nil resume
-// also ends the loop, with StopBudget, once PC reaches a block Run can
-// fuse. Step passes false, having called the hook itself.
-func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool, resume *resumeAt) (BatchResult, error) {
+// run is Run with the StopStore gate and fusion explicit. Step runs one
+// instruction with both off, having called the hook itself.
+func (c *CPU) run(budget uint64, costs *[]Cost, stopStores, fuse bool) (BatchResult, error) {
 	var res BatchResult
 	if c.Halted {
 		res.Reason = StopHalt
@@ -76,25 +90,37 @@ func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool, resume *re
 		res.Reason = StopFault
 		return res, err
 	}
+	var blockAt []*transBlock
+	if fuse {
+		if c.trans == nil {
+			c.buildTranslation()
+		}
+		blockAt = c.trans.blockAt
+		if len(c.sbRuns) != len(blockAt) {
+			c.sbRuns = make([]uint64, len(blockAt))
+			c.sbDirty = c.sbDirty[:0]
+		}
+	}
 
 	var (
-		cache = c.decodeCache
-		memo  = c.Memo != nil
-		m     = c.Mem
-		regs  = &c.Regs
-		// Cycle and instruction counts accumulate in scalar locals (so they
-		// stay in registers through the loop) and flush to res and c.Stats
-		// at the single exit below; OpCount and AmenableOps update in place.
+		cache      = c.decodeCache
+		m          = c.Mem
+		regs       = &c.Regs
+		wantCosts  = costs != nil
+		gateStores = stopStores || wantCosts
+		gateMuls   = wantCosts && c.Memo != nil
+		dataEnd    = mem.DataBase + uint32(m.Config().DataBytes)
+		// Counts accumulate in scalar locals and flush to res and c.Stats
+		// at the single exit below; OpCount updates in place.
 		cycAcc, instrAcc, amenAcc uint64
 		reason                    = StopBudget
 		fault                     error
-		dataEnd                   = mem.DataBase + uint32(m.Config().DataBytes)
 	)
 
-	// pc mirrors regs[isa.PC] in a local: the register-file slot is still
-	// stored every instruction (programs may read PC as an operand), but the
-	// loop never reloads it.
+	// pc mirrors regs[isa.PC], which always holds the address of the next
+	// instruction: a closure reading PC as an operand sees its own address.
 	pc := regs[isa.PC]
+loop:
 	for cycAcc < budget {
 		slot := (pc - mem.CodeBase) / isa.InstBytes
 		if pc%isa.InstBytes != 0 || slot >= uint32(len(cache)) {
@@ -104,16 +130,100 @@ func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool, resume *re
 			reason = StopFault
 			break
 		}
-		d := cache[slot]
-		in := d.in
-		op := in.Op
+
+		var tb *transBlock
+		if slot < uint32(len(blockAt)) {
+			tb = blockAt[slot]
+		}
+		if tb != nil && cycAcc+tb.maxCycles <= budget && !(gateStores && tb.hasStore || gateMuls && tb.hasMul) {
+			// Execute the block — and when it is a self-loop (its terminator
+			// branches back to its own head), keep iterating without
+			// repeating the slot lookup and entry gates. Completed
+			// executions accumulate in a local counter and flush into the
+			// deferred per-slot tally.
+			runs := uint64(0)
+			faultIdx := -1
+			for {
+				for i, f := range tb.fns {
+					if !f(c) {
+						faultIdx = i
+						break
+					}
+				}
+				if faultIdx >= 0 {
+					break
+				}
+				cycAcc += tb.bodyCycles
+				if tb.hasMul {
+					cycAcc -= c.sbAdj
+					c.sbAdj = 0
+				}
+				runs++
+				if wantCosts {
+					*costs = append(*costs, tb.costs...)
+				}
+				if tb.term != nil {
+					nextPC, tcyc := tb.term(c)
+					cycAcc += uint64(tcyc)
+					if wantCosts {
+						*costs = append(*costs, Cost{Cycles: tcyc})
+					}
+					pc = nextPC
+				} else {
+					pc = tb.endPC
+				}
+				if pc != tb.startPC || cycAcc+tb.maxCycles > budget {
+					break
+				}
+			}
+			if runs > 0 {
+				if c.sbRuns[slot] == 0 {
+					c.sbDirty = append(c.sbDirty, slot)
+				}
+				c.sbRuns[slot] += runs
+			}
+			if faultIdx >= 0 {
+				// A body memory access faulted at index faultIdx. Account the
+				// executed prefix from the decode cache, plus the faulting
+				// instruction's amenable mark (tallied before executing, as
+				// for a single slot), and leave PC at the faulting
+				// instruction.
+				for i := 0; i <= faultIdx; i++ {
+					d := &cache[int(slot)+i]
+					if d.amen {
+						amenAcc++
+					}
+					if i < faultIdx {
+						c.Stats.OpCount[d.in.Op]++
+						cycAcc += uint64(d.cycles)
+					}
+				}
+				cycAcc -= c.sbAdj
+				c.sbAdj = 0
+				if wantCosts {
+					*costs = append(*costs, tb.costs[:faultIdx]...)
+				}
+				instrAcc += uint64(faultIdx)
+				pc = tb.startPC + uint32(faultIdx)*isa.InstBytes
+				regs[isa.PC] = pc
+				reason, fault = StopFault, c.sbErr
+				c.sbErr = nil
+				break loop
+			}
+			regs[isa.PC] = pc
+			continue
+		}
+
+		// One instruction through its slot's closure.
+		d := &cache[slot]
+		op := d.in.Op
 		if !op.Valid() {
 			_, fault = c.decodeAt(pc)
 			reason = StopFault
 			break
 		}
 		if stopStores && op.IsStore() {
-			if addr := c.effAddr(in); addr >= mem.DataBase && addr < dataEnd {
+			if addr := c.effAddr(d.in); addr >= mem.DataBase && addr < dataEnd {
 				reason = StopStore
 				break
 			}
@@ -121,188 +231,36 @@ func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool, resume *re
 		if d.amen {
 			amenAcc++
 		}
-
 		var nvBefore uint64
-		if costs != nil {
+		if wantCosts {
 			nvBefore = m.NVWrites
 		}
-
 		cycles := d.cycles
 		nextPC := pc + isa.InstBytes
-		var err error
-
-		switch op {
-		case isa.OpNop:
-		case isa.OpHalt:
+		switch {
+		case d.exec != nil:
+			if !d.exec(c) {
+				reason, fault = StopFault, c.sbErr
+				c.sbErr = nil
+				break loop
+			}
+			if c.sbAdj != 0 {
+				cycles -= uint32(c.sbAdj)
+				c.sbAdj = 0
+			}
+		case d.term != nil:
+			nextPC, cycles = d.term(c)
+		case op == isa.OpHalt:
 			c.Halted = true
 			nextPC = pc
-
-		case isa.OpMov:
-			regs[in.Rd] = regs[in.Rm]
-		case isa.OpMovI:
-			regs[in.Rd] = uint32(in.Imm)
-		case isa.OpMovTI:
-			regs[in.Rd] = regs[in.Rd]&0xFFFF | uint32(in.Imm)<<16
-
-		case isa.OpAdd:
-			regs[in.Rd] = regs[in.Rn] + regs[in.Rm]
-		case isa.OpAddI:
-			regs[in.Rd] = regs[in.Rn] + uint32(in.Imm)
-		case isa.OpSub:
-			regs[in.Rd] = regs[in.Rn] - regs[in.Rm]
-		case isa.OpSubI:
-			regs[in.Rd] = regs[in.Rn] - uint32(in.Imm)
-		case isa.OpAnd:
-			regs[in.Rd] = regs[in.Rn] & regs[in.Rm]
-		case isa.OpAndI:
-			regs[in.Rd] = regs[in.Rn] & uint32(in.Imm)
-		case isa.OpOrr:
-			regs[in.Rd] = regs[in.Rn] | regs[in.Rm]
-		case isa.OpOrrI:
-			regs[in.Rd] = regs[in.Rn] | uint32(in.Imm)
-		case isa.OpEor:
-			regs[in.Rd] = regs[in.Rn] ^ regs[in.Rm]
-		case isa.OpEorI:
-			regs[in.Rd] = regs[in.Rn] ^ uint32(in.Imm)
-		case isa.OpLsl:
-			regs[in.Rd] = shiftL(regs[in.Rn], regs[in.Rm])
-		case isa.OpLslI:
-			regs[in.Rd] = shiftL(regs[in.Rn], uint32(in.Imm))
-		case isa.OpLsr:
-			regs[in.Rd] = shiftR(regs[in.Rn], regs[in.Rm])
-		case isa.OpLsrI:
-			regs[in.Rd] = shiftR(regs[in.Rn], uint32(in.Imm))
-		case isa.OpAsr:
-			regs[in.Rd] = shiftAR(regs[in.Rn], regs[in.Rm])
-		case isa.OpAsrI:
-			regs[in.Rd] = shiftAR(regs[in.Rn], uint32(in.Imm))
-
-		case isa.OpCmp:
-			c.setFlagsSub(regs[in.Rn], regs[in.Rm])
-		case isa.OpCmpI:
-			c.setFlagsSub(regs[in.Rn], uint32(in.Imm))
-		case isa.OpSubIS:
-			a := regs[in.Rn]
-			c.setFlagsSub(a, uint32(in.Imm))
-			regs[in.Rd] = a - uint32(in.Imm)
-
-		case isa.OpMul:
-			a, b := regs[in.Rn], regs[in.Rm]
-			prod := a * b
-			if memo {
-				var fast bool
-				prod, fast = c.mulWithMemo(a, b)
-				if fast {
-					cycles = 1
-				}
-			}
-			regs[in.Rd] = prod
-
-		case isa.OpMulASP1, isa.OpMulASP2, isa.OpMulASP3, isa.OpMulASP4, isa.OpMulASP8:
-			bits := op.ASPBits()
-			a, b := regs[in.Rd], regs[in.Rm]
-			prod := a * b
-			if memo {
-				var fast bool
-				prod, fast = c.mulWithMemo(a, b)
-				if fast {
-					cycles = 1
-				}
-			}
-			regs[in.Rd] = shiftL(prod, uint32(bits)*uint32(in.Imm))
-
-		case isa.OpAddASV4, isa.OpAddASV8, isa.OpAddASV16:
-			regs[in.Rd] = AddASV(regs[in.Rd], regs[in.Rm], op.ASVLane())
-		case isa.OpSubASV4, isa.OpSubASV8, isa.OpSubASV16:
-			regs[in.Rd] = SubASV(regs[in.Rd], regs[in.Rm], op.ASVLane())
-
-		case isa.OpLdr, isa.OpLdrX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpLdrX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if v, ok := m.TryLoadWord(addr); ok {
-				regs[in.Rd] = v
-			} else if v, lerr := m.LoadWord(addr); lerr != nil {
-				err = lerr
-			} else {
-				regs[in.Rd] = v
-			}
-		case isa.OpLdrh, isa.OpLdrhX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpLdrhX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if v, ok := m.TryLoadHalf(addr); ok {
-				regs[in.Rd] = v
-			} else if v, lerr := m.LoadHalf(addr); lerr != nil {
-				err = lerr
-			} else {
-				regs[in.Rd] = v
-			}
-		case isa.OpLdrb, isa.OpLdrbX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpLdrbX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if v, ok := m.TryLoadByte(addr); ok {
-				regs[in.Rd] = v
-			} else if v, lerr := m.LoadByte(addr); lerr != nil {
-				err = lerr
-			} else {
-				regs[in.Rd] = v
-			}
-
-		case isa.OpStr, isa.OpStrX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpStrX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if !m.TryStoreWord(addr, regs[in.Rd]) {
-				err = m.StoreWord(addr, regs[in.Rd])
-			}
-		case isa.OpStrh, isa.OpStrhX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpStrhX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if !m.TryStoreHalf(addr, regs[in.Rd]) {
-				err = m.StoreHalf(addr, regs[in.Rd])
-			}
-		case isa.OpStrb, isa.OpStrbX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpStrbX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if !m.TryStoreByte(addr, regs[in.Rd]) {
-				err = m.StoreByte(addr, regs[in.Rd])
-			}
-
-		case isa.OpB:
-			nextPC = pc + uint32(in.Imm)
-		case isa.OpBl:
-			regs[isa.LR] = pc + isa.InstBytes
-			nextPC = pc + uint32(in.Imm)
-		case isa.OpBx:
-			nextPC = regs[in.Rm]
-		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBgt, isa.OpBle, isa.OpBlo, isa.OpBhs:
-			if c.condTrue(op) {
-				nextPC = pc + uint32(in.Imm)
-				cycles++ // pipeline refill on a taken branch
-			}
-
-		case isa.OpSkm:
-			c.SkimTarget = uint32(in.Imm)
+			reason = StopHalt
+		case op == isa.OpSkm:
+			c.SkimTarget = uint32(d.in.Imm)
 			c.SkimArmed = true
-			// nv accounting below covers the skim register's NV write.
-
+			reason = StopSkim
 		default:
-			err = fmt.Errorf("cpu: unimplemented opcode %s at %#08x", op.Name(), pc)
-		}
-		if err != nil {
-			reason = StopFault
-			fault = err
-			break
+			reason, fault = StopFault, fmt.Errorf("cpu: unimplemented opcode %s at %#08x", op.Name(), pc)
+			break loop
 		}
 		regs[isa.PC] = nextPC
 		pc = nextPC
@@ -310,33 +268,46 @@ func (c *CPU) runUntil(budget uint64, costs *[]Cost, stopStores bool, resume *re
 		c.Stats.OpCount[op]++
 		cycAcc += uint64(cycles)
 		instrAcc++
-		if costs != nil {
+		if wantCosts {
 			nv := int(m.NVWrites - nvBefore)
 			if op == isa.OpSkm {
 				nv++ // the skim register is non-volatile
 			}
 			*costs = append(*costs, Cost{Cycles: cycles, NVWrites: nv})
 		}
-
-		// Only OpHalt sets c.Halted inside the loop, so an opcode compare
-		// (already in a register) replaces the flag load.
-		if op == isa.OpHalt {
-			reason = StopHalt
-			break
-		}
-		if op == isa.OpSkm {
-			reason = StopSkim
-			break
-		}
-		if resume != nil && resume.fusable(pc) {
-			break
+		if reason != StopBudget {
+			break // HALT or SKM, counted above
 		}
 	}
+
+	var fusedInstrs, fusedAmen uint64
+	if len(c.sbDirty) > 0 {
+		fusedInstrs, fusedAmen = c.flushSuperCounts()
+		c.sbInstrs += fusedInstrs
+	}
 	res.Cycles = cycAcc
-	res.Instructions = instrAcc
+	res.Instructions = instrAcc + fusedInstrs
 	res.Reason = reason
 	c.Stats.Cycles += cycAcc
-	c.Stats.Instructions += instrAcc
-	c.Stats.AmenableOps += amenAcc
+	c.Stats.Instructions += res.Instructions
+	c.Stats.AmenableOps += amenAcc + fusedAmen
 	return res, fault
+}
+
+// flushSuperCounts applies the deferred per-block run tallies to
+// Stats.OpCount and returns the corresponding instruction and amenable
+// counts, clearing the tallies for the next window.
+func (c *CPU) flushSuperCounts() (instrs, amen uint64) {
+	for _, slot := range c.sbDirty {
+		tb := c.trans.blockAt[slot]
+		runs := c.sbRuns[slot]
+		c.sbRuns[slot] = 0
+		for _, oc := range tb.opCounts {
+			c.Stats.OpCount[oc.op] += oc.n * runs
+		}
+		instrs += tb.instrs * runs
+		amen += tb.amen * runs
+	}
+	c.sbDirty = c.sbDirty[:0]
+	return instrs, amen
 }

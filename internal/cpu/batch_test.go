@@ -8,9 +8,10 @@ import (
 	"whatsnext/internal/mem"
 )
 
-// diffPrograms exercises every interpreter path of RunUntil's loop and the
-// reference execute: ALU ops, flags, all load/store widths (immediate and
-// register offset), multiplies, SWAR vector ops, branches, calls, and SKM.
+// diffPrograms exercises every path of Run's loop and the reference
+// execute: ALU ops, flags, all load/store widths (immediate and register
+// offset), multiplies, SWAR vector ops, branches, calls, PC operands, and
+// SKM.
 var diffPrograms = map[string]string{
 	"mixed-loop": `
 		MOVI R0, #0
@@ -71,6 +72,37 @@ var diffPrograms = map[string]string{
 		SUBIS R1, R1, #1
 		BNE loop
 		STR R4, [R0, #8]
+		HALT
+	`,
+	// PC as an operand: a slot closure reads Regs[PC] as its own address,
+	// and a write to PC is overwritten by the next PC. Blocks stop fusing
+	// at these instructions, so Run runs them one slot at a time.
+	"pc-operands": `
+		MOVI R0, #0
+		MOVTI R0, #4096
+		MOV R1, PC
+		ADD R2, PC, R1
+		ADDI R3, PC, #8
+		SUB R4, R2, PC
+		STR R4, [R0, #0]
+		ADD R5, R3, R1
+		STR R5, [R0, #4]
+		CMP PC, R1
+		BHS above
+		MOVI R9, #1
+	above:
+		CMPI PC, #0
+		BEQ zero
+		MOVI PC, #0
+		CMP R1, PC
+		BLO below
+		MOVI R9, #2
+	below:
+		MOVI R6, #3
+	loop:
+		SUBIS R6, R6, #1
+		BNE loop
+	zero:
 		HALT
 	`,
 	"skim": `

@@ -34,9 +34,9 @@ type Stats struct {
 
 // CPU is the simulated core. It executes decoded instructions against a
 // Memory under the M0+ cost model. The intermittent runtimes drive it
-// through Run (superblocks, deoptimizing to RunUntil's interpreter) and
-// Step (one instruction through the same interpreter, with the BeforeStore
-// hook), paying the returned Cost into the energy supply.
+// through Run (windows of instructions, fused into superblocks where they
+// can be) and Step (one instruction through the same loop, with the
+// BeforeStore hook), paying the returned Cost into the energy supply.
 type CPU struct {
 	Regs [isa.NumRegs]uint32
 	// Condition flags, set only by CMP/CMPI.
@@ -57,10 +57,10 @@ type CPU struct {
 
 	// BeforeStore, when non-nil, runs before every data store Step
 	// executes, with the target address and size. The Clank runtime uses
-	// it to checkpoint ahead of idempotency-violating writes. Run and
-	// RunUntil never invoke it: they stop ahead of any store into the
-	// non-volatile data region instead, so the caller can Step exactly
-	// those stores.
+	// it to checkpoint ahead of idempotency-violating writes. Run never
+	// invokes it: it stops ahead of any store into the non-volatile data
+	// region instead (StopStore), so the caller can Step exactly those
+	// stores.
 	BeforeStore func(addr uint32, size int)
 
 	Stats Stats
@@ -73,8 +73,8 @@ type CPU struct {
 	decodeCache []decoded     // lazily built per program image
 	decodeErrs  map[int]error // slot -> original isa.Decode failure
 	trans       *translation  // lazily built superblock translation
-	sbErr       error         // fault raised inside a superblock closure
-	sbAdj       uint64        // memo fast-hit cycle discount within one block
+	sbErr       error         // fault raised inside a slot closure
+	sbAdj       uint64        // memo fast-hit cycle discount; zero between instructions
 	// Deferred superblock accounting: sbRuns[slot] counts completed
 	// executions of the block starting at slot within the current window;
 	// sbDirty lists the touched slots. Both flush into Stats at every
@@ -87,12 +87,16 @@ type CPU struct {
 	sbInstrs uint64
 }
 
-// decoded is one predecoded instruction slot: the decoded form plus its
-// base cycle cost, so the hot loop never re-derives either.
+// decoded is one predecoded instruction slot: the decoded form, its cycle
+// cost, and the closure that executes it, so the hot loop never re-derives
+// any of them. HALT, SKM and invalid slots have neither closure.
 type decoded struct {
 	in     isa.Instruction
-	cycles uint32
-	amen   bool // slot carries the compiler's amenable mark
+	cycles uint32 // base cost; a branch's worst case (taken)
+	amen   bool   // slot carries the compiler's amenable mark
+
+	exec func(*CPU) bool             // straight-line instruction (buildBodyFn)
+	term func(*CPU) (uint32, uint32) // branch (buildTerm)
 }
 
 // New builds a CPU over the given memory with PC at the code base.
@@ -219,11 +223,12 @@ func (c *CPU) ensureDecodeCache() error {
 			errs[i] = err
 			continue
 		}
-		cache[i] = decoded{
-			in:     in,
-			cycles: in.Op.BaseCycles(),
-			amen:   c.amenableAt(mem.CodeBase + uint32(i*isa.InstBytes)),
+		pc := mem.CodeBase + uint32(i*isa.InstBytes)
+		d := decoded{in: in, cycles: in.Op.BaseCycles(), amen: c.amenableAt(pc), exec: buildBodyFn(in)}
+		if term, worst := buildTerm(in, pc); term != nil {
+			d.term, d.cycles = term, worst
 		}
+		cache[i] = d
 	}
 	c.decodeCache, c.decodeErrs = cache, errs
 	return nil
@@ -271,44 +276,23 @@ func (c *CPU) setFlagsSub(a, b uint32) {
 	c.V = (int32(a) < 0) != (int32(b) < 0) && (int32(r) < 0) != (int32(a) < 0)
 }
 
-func (c *CPU) condTrue(op isa.Opcode) bool {
-	switch op {
-	case isa.OpBeq:
-		return c.Z
-	case isa.OpBne:
-		return !c.Z
-	case isa.OpBlt:
-		return c.N != c.V
-	case isa.OpBge:
-		return c.N == c.V
-	case isa.OpBgt:
-		return !c.Z && c.N == c.V
-	case isa.OpBle:
-		return c.Z || c.N != c.V
-	case isa.OpBlo:
-		return !c.C
-	case isa.OpBhs:
-		return c.C
-	}
-	return true
-}
-
-// Step executes one instruction through RunUntil's interpreter. It returns
-// the cost of the instruction and a non-nil error on a fault (illegal
-// instruction, bad memory access). A halted CPU returns a zero cost.
+// Step executes one instruction through Run's loop (a one-cycle budget, no
+// fusion). It returns the cost of the instruction and a non-nil error on a
+// fault (illegal instruction, bad memory access). A halted CPU returns a
+// zero cost.
 //
-// Unlike RunUntil, Step never stops ahead of a store: it calls BeforeStore
-// with the target address and width of every data store, NV or not, before
-// the store executes.
+// Unlike Run, Step never stops ahead of a store: it calls BeforeStore with
+// the target address and width of every data store, NV or not, before the
+// store executes.
 func (c *CPU) Step() (Cost, error) {
 	if c.BeforeStore != nil && !c.Halted {
-		// A decode failure is left for runUntil, which reports it.
+		// A decode failure is left for run, which reports it.
 		if in, err := c.decodeAt(c.Regs[isa.PC]); err == nil && in.Op.IsStore() {
 			c.BeforeStore(c.effAddr(in), in.Op.AccessBytes())
 		}
 	}
 	nv := c.Mem.NVWrites
-	res, err := c.runUntil(1, nil, false, nil)
+	res, err := c.run(1, nil, false, false)
 	if err != nil {
 		return Cost{}, err
 	}

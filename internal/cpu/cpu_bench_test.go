@@ -7,7 +7,7 @@ import (
 	"whatsnext/internal/mem"
 )
 
-// benchProgram is a mixed loop the interpreter spends most real time in:
+// benchProgram is a mixed loop the simulator spends most real time in:
 // loads, an anytime multiply, ALU work, a store, and the loop epilogue.
 const benchProgram = `
 	MOVI R0, #0
@@ -24,7 +24,8 @@ loop:
 	HALT
 `
 
-// BenchmarkStep measures raw interpreter throughput (instructions/op).
+// BenchmarkStep measures one Step call per op: Run's loop with a one-cycle
+// budget and no fusion, so it includes the per-call entry and exit.
 func BenchmarkStep(b *testing.B) {
 	p, err := asm.Assemble(benchProgram)
 	if err != nil {
@@ -81,9 +82,9 @@ func BenchmarkMemoLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkSuperLoop measures the superblock translation backend over the
-// same program as BenchmarkStepLoop: fused closures with zero per-instruction
-// dispatch, deoptimizing to RunUntil only at block boundaries it cannot fuse.
+// BenchmarkSuperLoop measures Run over the same program as
+// BenchmarkStepLoop: fused superblocks where they start, single slots
+// through the same closures elsewhere.
 func BenchmarkSuperLoop(b *testing.B) {
 	p, err := asm.Assemble(benchProgram)
 	if err != nil {
@@ -109,9 +110,9 @@ func BenchmarkSuperLoop(b *testing.B) {
 	b.ReportMetric(float64(instrs)/float64(b.N), "instructions/op")
 }
 
-// BenchmarkStepLoop measures the batched fast path over the same program as
-// BenchmarkStep: one RunUntil call per full program execution instead of a
-// Step call per instruction.
+// BenchmarkStepLoop measures Run's per-slot path over the same program as
+// BenchmarkStep: one RunUntil call (Run with fusion off) per full program
+// execution instead of a Step call per instruction.
 func BenchmarkStepLoop(b *testing.B) {
 	p, err := asm.Assemble(benchProgram)
 	if err != nil {

@@ -7,10 +7,10 @@ import (
 )
 
 // This file keeps the reference interpreter: the original one-instruction
-// engine, written as its own switch independent of RunUntil's loop and the
-// superblock closures. It is the oracle the differential tests run Step,
-// RunUntil and Run against, so a semantic slip in a production engine shows
-// up as a divergence instead of being copied into the expectation.
+// engine, written as its own switch independent of Run's loop and the slot
+// closures. It is the oracle the differential tests run Step, RunUntil and
+// Run against, so a semantic slip in the closures shows up as a divergence
+// instead of being copied into the expectation.
 
 // refStep executes one instruction through execute. It shares decode (the
 // predecoded slot cache and its fault messages), the memo table and the

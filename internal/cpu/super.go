@@ -9,7 +9,8 @@ import (
 // translation is the per-image superblock table, indexed by instruction
 // slot. Only a block's first slot carries a pointer: jumping into the middle
 // of a block (computed BX targets only — every statically-known branch
-// target is a CFG leader and therefore starts a block) deoptimizes.
+// target is a CFG leader and therefore starts a block) runs slot by slot
+// until the next block start.
 //
 // A translation depends only on the decode cache and the amenable bitset,
 // never on register or memory state, so forked CPUs share one instance.
@@ -41,11 +42,6 @@ type transBlock struct {
 	maxCycles  uint64 // bodyCycles + worst-case terminator cycles; budget gate
 	amen       uint64 // amenable marks across body + fused terminator
 
-	// Per-body-instruction data for the partial-fault exit, which must
-	// account a prefix exactly as RunUntil would have.
-	ops   []isa.Opcode
-	cyc   []uint32
-	amens []bool
 	// costs holds the per-instruction Cost records emitted on the cost-replay
 	// path. Only valid when the block has no stores and, with a memo table
 	// installed, no multiplies (then every cost is static with zero NV
@@ -55,232 +51,6 @@ type transBlock struct {
 	opCounts []opCount
 	hasStore bool
 	hasMul   bool
-}
-
-// Run is the batched executor the runtimes use. It has RunUntil's exact
-// contract: same stop reasons, same overshoot bound (budget +
-// MaxInstrCycles - 1), same Stats and cost replay semantics.
-//
-// Run executes translated superblocks. At each block boundary it executes
-// a fused block when one starts at PC, fits the remaining budget in the
-// worst case, and no runtime-visibility gate applies. Otherwise it
-// deoptimizes: RunUntil's interpreter runs from PC until PC reaches a
-// block the gates let Run fuse, and Run resumes fusing there. A loop whose
-// blocks all fail a gate thus stays in one interpreter call.
-// Only a block that may not fit the remaining budget hands the rest of the
-// window to the interpreter, which must pick the exact stop instruction.
-// Delegation (rather than a private slow path) keeps the deopt semantics
-// definitionally identical to the batched interpreter: every stop reason,
-// fault message, hook interaction, and the overshoot bound come from the
-// same code.
-//
-// Gates deoptimizing a block:
-//   - a BeforeStore hook is installed and the block stores (the hook must
-//     observe NV-data stores at instruction granularity via StopStore);
-//   - the caller wants per-instruction costs and the block stores (store
-//     costs carry NV-write counts);
-//   - the caller wants costs, a memo table is installed and the block
-//     multiplies (memoized multiplies have data-dependent cycles; without
-//     a memo table a multiply's cost is static and the block's costs are
-//     exact);
-//   - the block's worst-case cycles do not fit the remaining budget.
-func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
-	var res BatchResult
-	if c.Halted {
-		res.Reason = StopHalt
-		return res, nil
-	}
-	if err := c.ensureDecodeCache(); err != nil {
-		res.Reason = StopFault
-		return res, err
-	}
-	if c.trans == nil {
-		c.buildTranslation()
-	}
-	if len(c.sbRuns) != len(c.trans.blockAt) {
-		c.sbRuns = make([]uint64, len(c.trans.blockAt))
-		c.sbDirty = c.sbDirty[:0]
-	}
-
-	var (
-		tr        = c.trans
-		hook      = c.BeforeStore != nil
-		wantCosts = costs != nil
-		resume    = resumeAt{
-			blockAt: tr.blockAt,
-			stores:  hook || wantCosts,
-			muls:    wantCosts && c.Memo != nil,
-		}
-		regs                      = &c.Regs
-		cycAcc, instrAcc, amenAcc uint64
-		// The interpreter's share of the window, which runUntil has
-		// already added to Stats.
-		interpCycles, interpInstrs uint64
-		reason                     = StopBudget
-		fault                      error
-	)
-
-	pc := regs[isa.PC]
-	for cycAcc < budget {
-		slot := (pc - mem.CodeBase) / isa.InstBytes
-		var tb *transBlock
-		if pc%isa.InstBytes == 0 && slot < uint32(len(tr.blockAt)) {
-			tb = tr.blockAt[slot]
-		}
-		if tb == nil || cycAcc+tb.maxCycles > budget || resume.gated(tb) {
-			r := &resume
-			if tb != nil && cycAcc+tb.maxCycles > budget {
-				r = nil // the rest of the window
-			}
-			sub, err := c.runUntil(budget-cycAcc, costs, hook, r)
-			cycAcc += sub.Cycles
-			interpCycles += sub.Cycles
-			interpInstrs += sub.Instructions
-			if err != nil || sub.Reason != StopBudget {
-				reason, fault = sub.Reason, err
-				break
-			}
-			pc = regs[isa.PC]
-			continue
-		}
-
-		// Execute the block — and when it is a self-loop (its terminator
-		// branches back to its own head), keep iterating without repeating
-		// the slot lookup and entry gates. Completed executions accumulate
-		// in a local counter and flush into the deferred per-slot tally.
-		runs := uint64(0)
-		faultIdx := -1
-		for {
-			if tb.hasMul {
-				c.sbAdj = 0 // memo fast-hit cycle discounts accumulate here
-			}
-			for i, f := range tb.fns {
-				if !f(c) {
-					faultIdx = i
-					break
-				}
-			}
-			if faultIdx >= 0 {
-				break
-			}
-			blockCycles := tb.bodyCycles
-			if tb.hasMul {
-				blockCycles -= c.sbAdj
-			}
-			cycAcc += blockCycles
-			runs++
-			if wantCosts {
-				*costs = append(*costs, tb.costs...)
-			}
-			if tb.term != nil {
-				nextPC, tcyc := tb.term(c)
-				cycAcc += uint64(tcyc)
-				if wantCosts {
-					*costs = append(*costs, Cost{Cycles: tcyc})
-				}
-				pc = nextPC
-			} else {
-				pc = tb.endPC
-			}
-			if pc != tb.startPC || cycAcc+tb.maxCycles > budget {
-				break
-			}
-		}
-		if runs > 0 {
-			if c.sbRuns[slot] == 0 {
-				c.sbDirty = append(c.sbDirty, slot)
-			}
-			c.sbRuns[slot] += runs
-		}
-		regs[isa.PC] = pc
-
-		if faultIdx >= 0 {
-			// A body memory access faulted at index faultIdx. Account the
-			// executed prefix exactly as RunUntil: OpCount/cycles/costs for
-			// instructions before the fault, the amenable mark of the
-			// faulting instruction too (the interpreter tallies it before
-			// executing), PC left at the faulting instruction.
-			var prefix uint64
-			for i := 0; i < faultIdx; i++ {
-				c.Stats.OpCount[tb.ops[i]]++
-				prefix += uint64(tb.cyc[i])
-				if tb.amens[i] {
-					amenAcc++
-				}
-				if wantCosts {
-					*costs = append(*costs, tb.costs[i])
-				}
-			}
-			if tb.hasMul {
-				prefix -= c.sbAdj
-			}
-			cycAcc += prefix
-			instrAcc += uint64(faultIdx)
-			if tb.amens[faultIdx] {
-				amenAcc++
-			}
-			pc = tb.startPC + uint32(faultIdx)*isa.InstBytes
-			regs[isa.PC] = pc
-			reason = StopFault
-			fault = c.sbErr
-			c.sbErr = nil
-			break
-		}
-	}
-
-	instrAcc, amenAcc = c.flushSuperCounts(instrAcc, amenAcc)
-	c.sbInstrs += instrAcc
-	res.Cycles = cycAcc
-	res.Instructions = instrAcc + interpInstrs
-	res.Reason = reason
-	c.Stats.Cycles += cycAcc - interpCycles
-	c.Stats.Instructions += instrAcc
-	c.Stats.AmenableOps += amenAcc
-	return res, fault
-}
-
-// resumeAt tells the interpreter where Run can fuse again: at the start of
-// a block that the window's gates do not keep on the interpreter.
-type resumeAt struct {
-	blockAt []*transBlock
-	stores  bool // blocks that store stay on the interpreter
-	muls    bool // blocks that multiply stay on the interpreter
-}
-
-// gated reports whether the window's gates keep tb on the interpreter.
-func (r resumeAt) gated(tb *transBlock) bool {
-	return r.stores && tb.hasStore || r.muls && tb.hasMul
-}
-
-// fusable reports whether a fused block Run may execute starts at pc.
-func (r resumeAt) fusable(pc uint32) bool {
-	slot := (pc - mem.CodeBase) / isa.InstBytes
-	if pc%isa.InstBytes != 0 || slot >= uint32(len(r.blockAt)) {
-		return false
-	}
-	tb := r.blockAt[slot]
-	return tb != nil && !r.gated(tb)
-}
-
-// flushSuperCounts applies the deferred per-block run tallies to
-// Stats.OpCount and folds the corresponding instruction and amenable counts
-// into the window accumulators, clearing the tallies for the next window.
-func (c *CPU) flushSuperCounts(instrAcc, amenAcc uint64) (uint64, uint64) {
-	if len(c.sbDirty) == 0 {
-		return instrAcc, amenAcc
-	}
-	for _, slot := range c.sbDirty {
-		tb := c.trans.blockAt[slot]
-		runs := c.sbRuns[slot]
-		c.sbRuns[slot] = 0
-		for _, oc := range tb.opCounts {
-			c.Stats.OpCount[oc.op] += oc.n * runs
-		}
-		instrAcc += tb.instrs * runs
-		amenAcc += tb.amen * runs
-	}
-	c.sbDirty = c.sbDirty[:0]
-	return instrAcc, amenAcc
 }
 
 // buildTranslation fuses the decoded program into superblocks along the
@@ -307,48 +77,24 @@ func (c *CPU) buildTranslation() {
 	}
 }
 
-// TranslationBlocks returns the [start, end) instruction-address extent of
-// every fused superblock in ascending order, the end covering the fused
-// terminator when present. The CFG-boundary test pins these against
-// wncheck's exported blocks.
-func (c *CPU) TranslationBlocks() ([][2]uint32, error) {
-	if err := c.ensureDecodeCache(); err != nil {
-		return nil, err
-	}
-	if c.trans == nil {
-		c.buildTranslation()
-	}
-	var out [][2]uint32
-	for _, tb := range c.trans.blockAt {
-		if tb == nil {
-			continue
-		}
-		end := tb.endPC
-		if tb.term != nil {
-			end += isa.InstBytes
-		}
-		out = append(out, [2]uint32{tb.startPC, end})
-	}
-	return out, nil
-}
-
 // buildBlock fuses one CFG block [start, end) of decode-cache slots: a
-// maximal translatable prefix as the body, plus the terminator when the
-// prefix reaches it. Returns nil if nothing fused.
+// maximal prefix of slot closures that may run back to back as the body,
+// plus the terminator's closure when the prefix reaches it. Returns nil if
+// nothing fused.
+//
+// Instructions with a PC operand, and `BX PC`, end the fusable prefix: a
+// block keeps PC in a local and only writes the register-file slot at block
+// exit, so a mid-block PC operand would observe a stale value.
 func buildBlock(cache []decoded, start, end int) *transBlock {
 	tb := &transBlock{startPC: mem.CodeBase + uint32(start*isa.InstBytes)}
-	counts := make(map[isa.Opcode]uint64)
+	var counts [isa.NumOpcodes]uint64
 	i := start
 	for ; i < end; i++ {
-		d := cache[i]
-		fn := buildBodyFn(d.in)
-		if fn == nil {
+		d := &cache[i]
+		if d.exec == nil || bodyUsesPC(d.in) {
 			break
 		}
-		tb.fns = append(tb.fns, fn)
-		tb.ops = append(tb.ops, d.in.Op)
-		tb.cyc = append(tb.cyc, d.cycles)
-		tb.amens = append(tb.amens, d.amen)
+		tb.fns = append(tb.fns, d.exec)
 		tb.costs = append(tb.costs, Cost{Cycles: d.cycles})
 		tb.bodyCycles += uint64(d.cycles)
 		if d.amen {
@@ -368,11 +114,10 @@ func buildBlock(cache []decoded, start, end int) *transBlock {
 	if i == end-1 {
 		// The body covers everything up to the block's last instruction;
 		// fuse the terminator if it is an inlinable branch.
-		d := cache[i]
-		if term, worst := buildTerm(d.in, mem.CodeBase+uint32(i*isa.InstBytes)); term != nil {
-			tb.term = term
+		if d := &cache[i]; d.term != nil && !(d.in.Op == isa.OpBx && d.in.Rm == isa.PC) {
+			tb.term = d.term
 			tb.instrs++
-			tb.maxCycles += uint64(worst)
+			tb.maxCycles += uint64(d.cycles) // a branch slot's worst case
 			if d.amen {
 				tb.amen++
 			}
@@ -382,9 +127,9 @@ func buildBlock(cache []decoded, start, end int) *transBlock {
 	if tb.instrs == 0 {
 		return nil
 	}
-	for op := isa.Opcode(0); int(op) < isa.NumOpcodes; op++ {
-		if n := counts[op]; n > 0 {
-			tb.opCounts = append(tb.opCounts, opCount{op: op, n: n})
+	for op, n := range counts {
+		if n > 0 {
+			tb.opCounts = append(tb.opCounts, opCount{op: isa.Opcode(op), n: n})
 		}
 	}
 	return tb
@@ -404,9 +149,7 @@ func usesRn(op isa.Opcode) bool {
 }
 
 // bodyUsesPC reports whether the instruction reads or writes PC through an
-// operand it actually uses. Such instructions stay on the interpreter: the
-// superblock body keeps PC in a local and only writes the register-file slot
-// at block exit, so a mid-block PC operand would observe a stale value.
+// operand it actually uses.
 func bodyUsesPC(in isa.Instruction) bool {
 	switch in.Op {
 	case isa.OpNop:
@@ -430,20 +173,18 @@ func bodyUsesPC(in isa.Instruction) bool {
 
 // buildBodyFn compiles one straight-line instruction into a closure over its
 // operand indices (masked, proving them in-range so the bounds checks
-// vanish). Returns nil for instructions that must stay on the interpreter:
-// branches (fused separately as terminators), HALT, SKM, invalid slots, and
-// PC-relative operands. Memory faults are parked in c.sbErr and signalled by
-// returning false.
+// vanish). Together with buildTerm it is the only definition of what an
+// instruction does: Run executes these closures one slot at a time or fused
+// into superblocks. A closure reading PC sees Regs[PC], which holds its own
+// address when it runs as a single slot. Returns nil for branches (see
+// buildTerm), HALT, SKM and invalid slots, which Run handles itself. Memory
+// faults are parked in c.sbErr and signalled by returning false.
 //
-// The closures mirror RunUntil's switch case for case — the differential
-// and fuzz-corpus tests in super_test.go pin Run, RunUntil and the test
-// oracle to identical architectural state, Stats, and cycle counts.
+// The differential and fuzz-corpus tests hold Run, with and without
+// fusion, against the independent reference interpreter in the tests.
 func buildBodyFn(in isa.Instruction) func(*CPU) bool {
 	op := in.Op
 	if !op.Valid() || op.IsBranch() || op == isa.OpHalt || op == isa.OpSkm {
-		return nil
-	}
-	if bodyUsesPC(in) {
 		return nil
 	}
 	rd := int(in.Rd) & 15
@@ -510,7 +251,7 @@ func buildBodyFn(in isa.Instruction) func(*CPU) bool {
 
 	case isa.OpMul:
 		// Static cost is 16 cycles; a memo fast hit costs 1, recorded as a
-		// 15-cycle discount in sbAdj (the block subtracts it afterwards).
+		// 15-cycle discount in sbAdj (Run subtracts it afterwards).
 		return func(c *CPU) bool {
 			a, b := c.Regs[rn], c.Regs[rm]
 			prod := a * b
@@ -656,10 +397,9 @@ func buildBodyFn(in isa.Instruction) func(*CPU) bool {
 	return nil
 }
 
-// buildTerm compiles a block-terminating branch at pc into a closure
-// returning (nextPC, cycles), plus its worst-case cycle cost for the budget
-// gate. Returns nil for non-branches (HALT, SKM, fall-through splits) and
-// for `BX PC`, whose operand would be stale mid-superblock.
+// buildTerm compiles the branch at pc into a closure returning (nextPC,
+// cycles), plus its worst-case cycle cost for the budget gate. Returns nil
+// for non-branches.
 func buildTerm(in isa.Instruction, pc uint32) (func(*CPU) (uint32, uint32), uint32) {
 	op := in.Op
 	base := op.BaseCycles()
@@ -676,9 +416,6 @@ func buildTerm(in isa.Instruction, pc uint32) (func(*CPU) (uint32, uint32), uint
 			return tgt, base
 		}, base
 	case isa.OpBx:
-		if in.Rm == isa.PC {
-			return nil, 0
-		}
 		rm := int(in.Rm) & 15
 		return func(c *CPU) (uint32, uint32) { return c.Regs[rm], base }, base
 	case isa.OpBeq:

@@ -167,10 +167,10 @@ func lockstepWindows(t *testing.T, sup, bat *CPU, budget uint64, maxWindows int)
 	}
 }
 
-// TestRunSuperStoreHook pins the StopStore deopt: with a BeforeStore hook
-// installed the superblock backend must never execute an NV-data store
-// inline — it delegates to the interpreter, which stops ahead of the store
-// so the caller routes it through Step, exactly like RunUntil.
+// TestRunSuperStoreHook pins the StopStore gate: with a BeforeStore hook
+// installed Run must never execute an NV-data store inline — it runs
+// storing blocks slot by slot and stops ahead of the store so the caller
+// routes it through Step, exactly like RunUntil.
 func TestRunSuperStoreHook(t *testing.T) {
 	src := diffPrograms["mixed-loop"]
 	type storeEvt struct {
@@ -216,9 +216,9 @@ func TestRunSuperStoreHook(t *testing.T) {
 }
 
 // TestRunSuperFaultParity checks fault identity against the reference for
-// both deopt faults (undecodable slot, fall-off-end) and faults raised
+// both single-slot faults (undecodable slot, fall-off-end) and faults raised
 // inside a fused superblock body, where the partial-fault exit must account
-// the executed prefix exactly as the interpreter would.
+// the executed prefix exactly as single slots would.
 func TestRunSuperFaultParity(t *testing.T) {
 	progs := map[string]string{
 		"unmapped-load": `
@@ -360,8 +360,8 @@ func TestTranslationBoundariesMatchCFG(t *testing.T) {
 				}
 				// A block counts as fully fused when it reaches the CFG
 				// block's end, or stops exactly one instruction short of it
-				// (a non-inlinable terminator: HALT or SKM stays on the
-				// interpreter by design).
+				// (a non-inlinable terminator: HALT or SKM runs as a single
+				// slot by design).
 				if ext[1] == b.End || ext[1]+isa.InstBytes == b.End {
 					fullFusions++
 				}
@@ -689,5 +689,32 @@ func TestForkSharesTranslation(t *testing.T) {
 	}
 	if c.Regs != f.Regs || !m.StateEqual(m2) {
 		t.Fatal("forked continuation diverged from the parent's")
+	}
+}
+
+// TestEveryOpcodeHasClosure pins the per-slot dispatch's coverage: every
+// valid opcode but HALT and SKM (which Run handles inline) gets exactly
+// one closure, a body closure for straight-line instructions or a
+// terminator for branches. An opcode with neither would fault as
+// unimplemented.
+func TestEveryOpcodeHasClosure(t *testing.T) {
+	for op := isa.Opcode(0); op.Valid(); op++ {
+		in := isa.Instruction{Op: op, Rd: 1, Rn: 2, Rm: 3}
+		body := buildBodyFn(in) != nil
+		term, _ := buildTerm(in, mem.CodeBase)
+		switch {
+		case op == isa.OpHalt || op == isa.OpSkm:
+			if body || term != nil {
+				t.Errorf("%s: handled inline, but has a closure", op.Name())
+			}
+		case op.IsBranch():
+			if body || term == nil {
+				t.Errorf("%s: branch needs a terminator closure and no body closure (body=%v term=%v)", op.Name(), body, term != nil)
+			}
+		default:
+			if !body || term != nil {
+				t.Errorf("%s: needs a body closure and no terminator closure (body=%v term=%v)", op.Name(), body, term != nil)
+			}
+		}
 	}
 }

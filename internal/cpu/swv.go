@@ -6,7 +6,7 @@ package cpu
 // 4x8-bit or 2x16-bit independent adders while retaining full 32-bit
 // addition for ordinary instructions.
 
-// laneMask returns a word with the low bit of every L-bit lane set.
+// laneLowBits returns a word with the low bit of every L-bit lane set.
 func laneLowBits(lane uint) uint32 {
 	switch lane {
 	case 4:

@@ -97,8 +97,8 @@ func TestBatchedContinuousMatchesReference(t *testing.T) {
 // TestRunFusesCostedMultiplyLoop: with per-instruction costs wanted and no
 // memo table, as in every intermittent window of the paper's default
 // configuration, Run retires at least 90 % of the Conv2d swp8 build's
-// instructions through fused superblocks: a multiply no longer sends a
-// block to the interpreter.
+// instructions through fused superblocks: a multiply no longer keeps a
+// block to single slots.
 func TestRunFusesCostedMultiplyLoop(t *testing.T) {
 	b := workloads.Conv2d()
 	p := b.ScaledParams()

@@ -149,7 +149,7 @@ func (r *Runner) ForceFailure() {
 }
 
 // Batched-executor window sizing. batchSlack keeps a window clear of the
-// brown-out threshold: RunUntil overshoots its budget by less than
+// brown-out threshold: cpu.Run overshoots its budget by less than
 // cpu.MaxInstrCycles, and the window's first instruction may carry one
 // pending checkpoint (~40 cycles plus 17 NV-word writes) accrued just
 // before the window. 64 cycles of worst-case drain covers both with

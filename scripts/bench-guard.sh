@@ -1,54 +1,79 @@
 #!/usr/bin/env bash
-# bench-guard.sh — fail when the end-to-end Table I benchmark regresses
-# against the committed reference summary.
+# bench-guard.sh — fail when the end-to-end Table I benchmark is slower at
+# HEAD than at a reference commit measured on the same machine.
 #
-# Usage: scripts/bench-guard.sh [BASELINE_JSON]
+# Usage: scripts/bench-guard.sh
 #
-# Runs BenchmarkTableI several times, takes the fastest run (the least-noise
-# estimator on shared runners), and compares it against ns_per_op recorded in
-# the baseline summary (default BENCH_PR8.json). Exits non-zero when the
-# measurement is more than BENCH_TOLERANCE_PCT percent slower (default 10).
+# Builds the root package's test binary from the reference commit and from
+# HEAD (each exported with `git archive`, so uncommitted changes are not
+# measured), then runs BenchmarkTableI -benchtime 20x with both binaries in
+# five alternating pairs (the side that runs first alternates). It compares
+# the fastest run of each side, the least-noise estimator on shared runners,
+# and exits non-zero when HEAD's is more than BENCH_TOLERANCE_PCT percent
+# (default 10) above the reference's.
 #
-# The committed baseline was measured on the machine class named in the
-# summary; when gating on a different machine class, re-record the baseline
-# there or widen BENCH_TOLERANCE_PCT rather than comparing absolute ns/op
-# across hardware.
+# The reference is BENCH_GUARD_REF, by default the merge-base of HEAD and
+# origin/main; when that is HEAD itself (a push to main) it is HEAD~1. Both
+# sides run on this machine, so the guard measures the code, not the host.
+# It needs the reference commit in the clone (CI checks out with
+# fetch-depth: 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-baseline_file="${1:-BENCH_PR8.json}"
 tolerance_pct="${BENCH_TOLERANCE_PCT:-10}"
-count="${BENCH_GUARD_COUNT:-3}"
+pairs=5
 
-if [[ ! -f "$baseline_file" ]]; then
-    echo "bench-guard: baseline $baseline_file not found" >&2
-    exit 1
+head_sha=$(git rev-parse HEAD)
+ref="${BENCH_GUARD_REF:-$(git merge-base HEAD origin/main)}"
+ref_sha=$(git rev-parse --verify "$ref^{commit}")
+if [[ -z "${BENCH_GUARD_REF:-}" && "$ref_sha" == "$head_sha" ]]; then
+    ref_sha=$(git rev-parse --verify "HEAD~1^{commit}")
 fi
 
-baseline_ns=$(awk '/"BenchmarkTableI"/{f=1} f && /"ns_per_op"/{gsub(/[^0-9.]/,""); print; exit}' "$baseline_file")
-if [[ -z "$baseline_ns" ]]; then
-    echo "bench-guard: no BenchmarkTableI ns_per_op in $baseline_file" >&2
-    exit 1
-fi
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for side in ref head; do
+    sha=$ref_sha
+    [[ $side == head ]] && sha=$head_sha
+    mkdir -p "$tmp/$side"
+    git archive "$sha" | tar -x -C "$tmp/$side"
+    (cd "$tmp/$side" && go test -c -o "$tmp/$side.test" .)
+done
 
-echo "bench-guard: baseline BenchmarkTableI ${baseline_ns} ns/op (${baseline_file}), tolerance ${tolerance_pct}%"
+echo "bench-guard: reference ${ref_sha:0:12}, HEAD ${head_sha:0:12}, ${pairs} pairs, tolerance ${tolerance_pct}%"
 
-best_ns=$(go test -run '^$' -bench 'BenchmarkTableI$' -benchtime 20x -count "$count" . |
-    awk '/^BenchmarkTableI/{print $3}' | sort -n | head -1)
-if [[ -z "$best_ns" ]]; then
-    echo "bench-guard: benchmark produced no BenchmarkTableI line" >&2
-    exit 1
-fi
+# bench SIDE prints the ns/op of one BenchmarkTableI run.
+bench() {
+    (cd "$tmp/$1" && "$tmp/$1.test" -test.run '^$' -test.bench 'BenchmarkTableI$' -test.benchtime 20x) |
+        awk '/^BenchmarkTableI/{print $3}'
+}
 
-echo "bench-guard: measured  BenchmarkTableI ${best_ns} ns/op (best of ${count})"
+: >"$tmp/ref.ns"
+: >"$tmp/head.ns"
+for ((i = 1; i <= pairs; i++)); do
+    order="ref head"
+    if ((i % 2 == 0)); then order="head ref"; fi
+    for side in $order; do
+        ns=$(bench "$side")
+        if [[ -z "$ns" ]]; then
+            echo "bench-guard: $side benchmark produced no BenchmarkTableI line" >&2
+            exit 1
+        fi
+        echo "$ns" >>"$tmp/$side.ns"
+    done
+    echo "bench-guard: pair $i: ref $(tail -n 1 "$tmp/ref.ns") ns/op, head $(tail -n 1 "$tmp/head.ns") ns/op"
+done
 
-awk -v best="$best_ns" -v base="$baseline_ns" -v tol="$tolerance_pct" 'BEGIN {
-    limit = base * (1 + tol / 100)
-    ratio = best / base
-    if (best > limit) {
-        printf "bench-guard: FAIL — %.0f ns/op exceeds %.0f ns/op (%.1f%% over baseline, tolerance %s%%)\n",
-            best, limit, (ratio - 1) * 100, tol
+ref_ns=$(sort -n "$tmp/ref.ns" | head -n 1)
+head_ns=$(sort -n "$tmp/head.ns" | head -n 1)
+awk -v head="$head_ns" -v ref="$ref_ns" -v tol="$tolerance_pct" 'BEGIN {
+    limit = ref * (1 + tol / 100)
+    ratio = head / ref
+    if (head > limit) {
+        printf "bench-guard: FAIL — HEAD best %.0f ns/op exceeds %.0f ns/op (%.1f%% over the reference best %.0f, tolerance %s%%)\n",
+            head, limit, (ratio - 1) * 100, ref, tol
         exit 1
     }
-    printf "bench-guard: OK — %.2fx of baseline (limit %.0f ns/op)\n", ratio, limit
+    printf "bench-guard: OK — HEAD best %.0f ns/op is %.2fx of the reference best %.0f (limit %.0f ns/op)\n",
+        head, ratio, ref, limit
 }'
