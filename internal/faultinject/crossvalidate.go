@@ -1,14 +1,14 @@
 package faultinject
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 
 	"whatsnext/internal/cpu"
-	"whatsnext/internal/energy"
 	"whatsnext/internal/isa"
 	"whatsnext/internal/mem"
 	"whatsnext/internal/wncheck"
@@ -112,14 +112,13 @@ func (r *CrossReport) String() string {
 		r.Target, r.Policy, r.Points, r.CertifiedPoints, witnessed, len(r.Outcomes), len(r.Violations), r.Residual)
 }
 
-// goldenWorld is one uninterrupted pure-CPU execution of the target against
-// one input world: the per-instruction resume PCs and costs (world 0 only —
-// the boundary schedule), and the final NV data.
+// goldenWorld is one uninterrupted pure-CPU execution of the target
+// against one input world.
 type goldenWorld struct {
-	pcs    []uint32
-	costs  []cpu.Cost
-	cycles uint64
-	data   []byte
+	cycles, instrs uint64
+	data           []byte     // final NV data
+	costs          []cpu.Cost // per instruction, when asked for
+	pcs            []uint32   // the PC each instruction executed at, when asked for
 	// maxCommitGap is the largest cycle distance between consecutive
 	// commit boundaries: run start, each executed skim point (whose own
 	// cost is charged to the region it ends), and halt.
@@ -132,84 +131,90 @@ type goldenWorld struct {
 // cycle count. This is the dynamic half of the per-region WCEC contract —
 // the gap must never exceed the certificate's static region bound.
 func GoldenProgress(t Target, cfg Config) (maxGap, total uint64, err error) {
-	if cfg.Mem == (mem.Config{}) {
-		cfg.Mem = mem.DefaultConfig()
-	}
-	g, err := goldenRun(t, cfg, nil, 0)
+	normalize(&cfg)
+	g, err := goldenRun(t, cfg, nil, false, false)
 	if err != nil {
 		return 0, 0, err
 	}
 	return g.maxCommitGap, g.cycles, nil
 }
 
-// goldenRun executes the target uninterrupted on a bare CPU — no policy, so
-// the per-instruction PC trace is exactly the boundary → resume-PC map the
-// injected runs share (kill cycles are pure CPU cycles in both). bump
-// advances every input word before the run, producing the alternate-world
-// goldens.
-func goldenRun(t Target, cfg Config, inputWords []uint32, bump uint32) (*goldenWorld, error) {
-	m := mem.New(cfg.Mem)
-	if err := m.LoadProgram(t.Image); err != nil {
+// goldenGuard bounds a golden run when Config.Budget is zero.
+const goldenGuard = uint64(1) << 32
+
+// recordCap is how many instructions a golden run records before it is
+// known to halt; the tests lower it.
+var recordCap uint64 = 1 << 22
+
+// goldenRun executes the target uninterrupted on a bare CPU in cpu.Run
+// windows — no policy, so kill cycles and resume PCs are pure CPU figures
+// the injected runs share. Run stops right after every SKM, so each
+// StopSkim is a commit boundary. withCosts records every instruction's
+// cost (a kill-point schedule); withPCs records the PC each one executed
+// at, running one-instruction windows. setup, when non-nil, prepares the
+// memory before the run (advancing input words for an alternate world). A
+// run that does not halt within Config.Budget cycles (goldenGuard when
+// zero) is an error. Recording that run to goldenGuard could exhaust
+// memory first, so past recordCap it finishes unrecorded and, having
+// halted, is re-run recording within the cycles it took.
+func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, withPCs bool) (*goldenWorld, error) {
+	m, err := loadTarget(t, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if t.Install != nil {
-		if err := t.Install(m); err != nil {
+	if setup != nil {
+		if err := setup(m); err != nil {
 			return nil, err
-		}
-	}
-	if bump != 0 {
-		for _, w := range inputWords {
-			v, err := m.LoadWord(w)
-			if err != nil {
-				return nil, fmt.Errorf("input word %#08x: %w", w, err)
-			}
-			if err := m.StoreWord(w, v+bump); err != nil {
-				return nil, err
-			}
 		}
 	}
 	c := cpu.New(m)
 	c.SetAmenablePCs(t.Amenable)
+	bound := cmp.Or(cfg.Budget, goldenGuard)
 
 	g := &goldenWorld{}
-	const guard = uint64(1) << 32
+	var costs *[]cpu.Cost
+	if withCosts {
+		costs = &g.costs
+	}
+	var gap uint64
 	for !c.Halted {
-		if g.cycles > guard {
-			return nil, fmt.Errorf("golden run did not halt within %d cycles", guard)
+		if g.cycles > bound {
+			return nil, fmt.Errorf("did not halt within %d cycles", bound)
 		}
-		pc := c.Regs[isa.PC]
-		cost, err := c.Step()
+		if cfg.Budget == 0 && uint64(len(g.costs)) > recordCap {
+			costs = nil
+		}
+		// cycles <= bound here; +1 lets the window cross the bound so an
+		// overrun is seen. A recording window is short enough for the cap
+		// check to run before it records much more than recordCap costs.
+		win := min(bound-g.cycles, math.MaxUint64-1) + 1
+		if costs != nil {
+			win = min(win, recordCap)
+			if withPCs {
+				g.pcs = append(g.pcs, c.Regs[isa.PC])
+				win = 1
+			}
+		}
+		res, err := c.Run(win, costs)
 		if err != nil {
 			return nil, err
 		}
-		g.pcs = append(g.pcs, pc)
-		g.costs = append(g.costs, cost)
-		g.cycles += uint64(cost.Cycles)
+		g.cycles += res.Cycles
+		g.instrs += res.Instructions
+		gap += res.Cycles
+		if res.Reason == cpu.StopSkim {
+			g.maxCommitGap = max(g.maxCommitGap, gap)
+			gap = 0
+		}
+	}
+	g.maxCommitGap = max(g.maxCommitGap, gap)
+	if withCosts && costs == nil {
+		cfg.Budget = g.cycles
+		return goldenRun(t, cfg, setup, withCosts, withPCs)
 	}
 	g.data = make([]byte, cfg.Mem.DataBytes)
 	if err := m.ReadData(mem.DataBase, g.data); err != nil {
 		return nil, err
-	}
-
-	// Measure the dynamic commit gaps against the instruction image: a
-	// boundary falls after every executed SKM, plus run start and halt.
-	var gap uint64
-	for i, pc := range g.pcs {
-		gap += uint64(g.costs[i].Cycles)
-		off := int(pc - mem.CodeBase)
-		if off >= 0 && off+4 <= len(t.Image) {
-			w := uint32(t.Image[off]) | uint32(t.Image[off+1])<<8 |
-				uint32(t.Image[off+2])<<16 | uint32(t.Image[off+3])<<24
-			if in, err := isa.Decode(isa.Word(w)); err == nil && in.Op == isa.OpSkm {
-				if gap > g.maxCommitGap {
-					g.maxCommitGap = gap
-				}
-				gap = 0
-			}
-		}
-	}
-	if gap > g.maxCommitGap {
-		g.maxCommitGap = gap
 	}
 	return g, nil
 }
@@ -241,7 +246,9 @@ func hazardWindow(r wncheck.Region, pc uint32) bool {
 }
 
 // CrossValidate runs the certificate's contract against the device. The
-// certificate must describe t.Image (hashes are checked).
+// certificate must describe t.Image (hashes are checked). Every selected
+// instruction boundary is a kill point of the same campaign RunLockstep
+// runs.
 func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*CrossReport, error) {
 	if cert == nil {
 		return nil, fmt.Errorf("crossvalidate: nil certificate")
@@ -249,32 +256,40 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("crossvalidate: Config.Policy is required")
 	}
-	if cfg.Mem == (mem.Config{}) {
-		cfg.Mem = mem.DefaultConfig()
-	}
-	if cfg.Device == (energy.DeviceConfig{}) {
-		cfg.Device = energy.DefaultDeviceConfig()
-	}
+	normalize(&cfg.Config)
 	sum := sha256.Sum256(t.Image)
 	if got := hex.EncodeToString(sum[:]); got != cert.ImageSHA256 {
 		return nil, fmt.Errorf("crossvalidate: %s: certificate is for image %s, target is %s", t.Name, cert.ImageSHA256, got)
 	}
 
-	world0, err := goldenRun(t, cfg.Config, cfg.InputWords, 0)
+	world0, err := goldenRun(t, cfg.Config, nil, true, true)
 	if err != nil {
 		return nil, fmt.Errorf("crossvalidate: %s: golden run: %w", t.Name, err)
 	}
 	goldens := [][]byte{maskInputs(world0.data, cfg.InputWords)}
+	var onKill func(*mem.Memory) error
 	if len(cfg.InputWords) > 0 {
-		world1, err := goldenRun(t, cfg.Config, cfg.InputWords, 1)
+		// Every forced failure advances the input words by one: the
+		// external world moved on while the device was dark.
+		onKill = func(m *mem.Memory) error {
+			for _, w := range cfg.InputWords {
+				v, err := m.LoadWord(w)
+				if err != nil {
+					return fmt.Errorf("input word %#08x: %w", w, err)
+				}
+				if err := m.StoreWord(w, v+1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		world1, err := goldenRun(t, cfg.Config, onKill, false, false)
 		if err != nil {
 			return nil, fmt.Errorf("crossvalidate: %s: world-1 golden run: %w", t.Name, err)
 		}
 		goldens = append(goldens, maskInputs(world1.data, cfg.InputWords))
 	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 4*world0.cycles + 65536
-	}
+	cfg.Budget = cmp.Or(cfg.Budget, 4*world0.cycles+65536)
 
 	rep := &CrossReport{
 		Target:       t.Name,
@@ -294,123 +309,65 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 		rep.Outcomes = append(rep.Outcomes, RegionOutcome{Region: fr})
 	}
 
-	// Every instruction boundary of the golden run: the cycle at which to
-	// kill and the PC execution resumes from (= the PC about to execute).
-	type boundary struct {
-		cycle   uint64
-		instr   uint64
-		pc      uint32
-		flagged bool
-	}
-	var bounds []boundary
-	var cum uint64
-	for i, pc := range world0.pcs {
-		b := boundary{cycle: cum, instr: uint64(i), pc: pc}
+	// Every instruction boundary of the golden run is a candidate; the PC
+	// execution resumes from is the one about to execute there.
+	flagged := func(b killPoint) bool {
 		for _, fr := range cert.Flagged {
-			if hazardWindow(fr, pc) {
-				b.flagged = true
-				break
+			if hazardWindow(fr, world0.pcs[b.instr]) {
+				return true
 			}
 		}
-		bounds = append(bounds, b)
-		cum += uint64(world0.costs[i].Cycles)
+		return false
 	}
-
-	selected := bounds
-	if cfg.MaxPoints > 0 && len(bounds) > cfg.MaxPoints {
+	selected := killPoints(world0.costs, world0.cycles, Schedule{Exhaustive: true})
+	if cfg.MaxPoints > 0 && len(selected) > cfg.MaxPoints {
 		// Keep every flagged-window boundary (they carry the witnesses),
-		// sample the certified remainder evenly.
-		var flagged, certified []boundary
+		// sample the certified remainder evenly. Each class stays in cycle
+		// order, so the campaign's cycle-order visits credit the same
+		// witnesses, violations and residuals as this selection order.
+		var certified []killPoint
+		bounds := selected
+		selected = nil
 		for _, b := range bounds {
-			if b.flagged {
-				flagged = append(flagged, b)
+			if flagged(b) {
+				selected = append(selected, b)
 			} else {
 				certified = append(certified, b)
 			}
 		}
-		selected = flagged
-		if keep := cfg.MaxPoints - len(flagged); keep > 0 && len(certified) > 0 {
-			if keep >= len(certified) {
-				selected = append(selected, certified...)
-			} else {
-				for i := 0; i < keep; i++ {
-					selected = append(selected, certified[i*len(certified)/keep])
-				}
-			}
+		keep := min(cfg.MaxPoints-len(selected), len(certified))
+		for i := 0; i < keep; i++ {
+			selected = append(selected, certified[i*len(certified)/keep])
 		}
 	}
 
-	var onKill func(*mem.Memory)
-	if len(cfg.InputWords) > 0 {
-		onKill = func(m *mem.Memory) {
-			for _, w := range cfg.InputWords {
-				if v, err := m.LoadWord(w); err == nil {
-					_ = m.StoreWord(w, v+1)
-				}
-			}
-		}
-	}
-
-	for _, b := range selected {
-		got, err := runOnce(t, cfg.Config, b.cycle, cfg.Budget, nil, onKill)
-		if err != nil {
-			return nil, fmt.Errorf("crossvalidate: %s: kill at cycle %d: %w", t.Name, b.cycle, err)
-		}
+	err = inject(t, cfg.Config, world0.cycles, selected, onKill, func(b killPoint, got *runResult) {
+		isFlagged := flagged(b)
 		rep.Points++
-		if !b.flagged {
+		if !isFlagged {
 			rep.CertifiedPoints++
 		}
-
-		div, diverged := crossDiff(b.cycle, b.instr, goldens, &got, cfg.InputWords)
+		div, diverged := diff(b, goldens, got, cfg.InputWords)
 		if !diverged {
-			continue
+			return
 		}
-		if !b.flagged {
+		if !isFlagged {
 			rep.Violations = append(rep.Violations, div)
-			continue
+			return
 		}
 		credited := false
 		for i := range rep.Outcomes {
-			if rep.Outcomes[i].Witness == nil && hazardWindow(rep.Outcomes[i].Region, b.pc) {
-				d := div
-				rep.Outcomes[i].Witness = &d
+			if o := &rep.Outcomes[i]; o.Witness == nil && hazardWindow(o.Region, world0.pcs[b.instr]) {
+				o.Witness = &div
 				credited = true
 			}
 		}
 		if !credited {
 			rep.Residual++
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("crossvalidate: %s: %w", t.Name, err)
 	}
 	return rep, nil
-}
-
-// crossDiff compares an injected run against every golden world; a run
-// matching none of them is a divergence, reported against world 0.
-func crossDiff(cycle, instr uint64, goldens [][]byte, got *runResult, inputWords []uint32) (Divergence, bool) {
-	if !got.halted {
-		return Divergence{KillCycle: cycle, KillInstruction: instr}, true
-	}
-	masked := maskInputs(got.data, inputWords)
-	for _, g := range goldens {
-		if bytes.Equal(g, masked) {
-			return Divergence{}, false
-		}
-	}
-	d := Divergence{KillCycle: cycle, KillInstruction: instr, Halted: true}
-	want := goldens[0]
-	first := true
-	for off := 0; off+4 <= len(want); off += 4 {
-		w := binary.LittleEndian.Uint32(want[off:])
-		g := binary.LittleEndian.Uint32(masked[off:])
-		if w == g {
-			continue
-		}
-		d.Words++
-		if first {
-			first = false
-			d.Addr = mem.DataBase + uint32(off)
-			d.Got, d.Want = g, w
-		}
-	}
-	return d, true
 }

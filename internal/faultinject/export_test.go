@@ -1,5 +1,8 @@
 package faultinject
 
-// RunNaive exposes the reference injection engine (runNaive) to the
-// external faultinject_test package.
-var RunNaive = runNaive
+// RunNaive and CrossValidateFromReset expose the from-reset reference
+// engines (naive_test.go) to the external faultinject_test package.
+var (
+	RunNaive               = runNaive
+	CrossValidateFromReset = crossValidateFromReset
+)

@@ -1,14 +1,16 @@
 // Package faultinject is the dynamic half of the crash-consistency
 // contract: a systematic power-failure injector over the batched stepper.
 //
-// For every scheduled kill point RunLockstep forces a full
+// It has one golden run and one kill-point engine. The golden run executes
+// the target uninterrupted on a bare CPU in cpu.Run windows. The engine
+// forks one shared trunk execution at each kill point, forces a full
 // power-failure/restore round trip through the configured intermittent
-// runtime at the exact instruction boundary, lets the run finish, and
-// differentially compares the final non-volatile data region against an
-// uninterrupted golden run. Any difference — a differing
-// word, or a run that no longer halts within budget — is a witnessed
-// crash-consistency violation, reported with the cycle of failure and the
-// first differing word.
+// runtime at that exact instruction boundary, lets the fork finish, and
+// compares its final non-volatile data region against the golden run's.
+// Any difference — a differing word, or a run that no longer halts within
+// budget — is a witnessed crash-consistency violation, reported with the
+// cycle of failure and the first differing word. RunLockstep picks the
+// kill points from a Schedule, CrossValidate from a wncheck certificate.
 //
 // Kill points are expressed in pure CPU cycles (the sum of per-instruction
 // Cost.Cycles), independent of runtime overhead charges, so a schedule
@@ -156,28 +158,36 @@ func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 	return bounds
 }
 
-// diff compares an injected run against the golden run.
-func diff(kill killPoint, golden, got *runResult) (Divergence, bool) {
+// diff compares an injected run against the golden worlds' final NV data
+// (one world unless input words are declared): a run matching none of them
+// is a divergence, reported against world 0. The input words are masked
+// from got as they are in the worlds. got is nil when the run is clean by
+// construction.
+func diff(kill killPoint, goldens [][]byte, got *runResult, inputWords []uint32) (Divergence, bool) {
+	if got == nil {
+		return Divergence{}, false
+	}
 	if !got.halted {
 		return Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr}, true
 	}
-	if bytes.Equal(golden.data, got.data) {
-		return Divergence{}, false
+	data := maskInputs(got.data, inputWords)
+	for _, g := range goldens {
+		if bytes.Equal(g, data) {
+			return Divergence{}, false
+		}
 	}
 	d := Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr, Halted: true}
-	first := true
-	for off := 0; off+4 <= len(golden.data); off += 4 {
-		w := binary.LittleEndian.Uint32(golden.data[off:])
-		g := binary.LittleEndian.Uint32(got.data[off:])
+	for off := 0; off+4 <= len(goldens[0]); off += 4 {
+		w := binary.LittleEndian.Uint32(goldens[0][off:])
+		g := binary.LittleEndian.Uint32(data[off:])
 		if w == g {
 			continue
 		}
-		d.Words++
-		if first {
-			first = false
+		if d.Words == 0 {
 			d.Addr = mem.DataBase + uint32(off)
 			d.Got, d.Want = g, w
 		}
+		d.Words++
 	}
-	return d, d.Words > 0
+	return d, true
 }

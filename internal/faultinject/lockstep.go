@@ -1,7 +1,9 @@
 package faultinject
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
@@ -9,56 +11,23 @@ import (
 )
 
 // RunLockstep executes an injection campaign: one golden run, then one
-// forced power failure per scheduled kill point. Errors are infrastructure
-// failures (a program that faults or cannot finish even uninterrupted);
-// divergences are reported in the Report, not as errors.
-//
-// Running every injected run from reset would cost O(points x program
-// length): each re-executes the prefix up to its kill point and the suffix
-// after it, even though the prefix is identical to the golden run by
-// construction and the suffix is identical whenever the restore path
-// re-converges. RunLockstep instead batches the schedule through one
-// shared trunk execution and exploits both halves:
-//
-//   - Prefix sharing: one trunk device executes the golden path once. At
-//     each kill boundary (visited in ascending order) the trunk is forked —
-//     memory is deep-copied, the CPU shares the trunk's decode cache and
-//     superblock translation, and the policy state (checkpoint, undo log)
-//     is duplicated — and the forced failure/restore round trip is applied
-//     to the fork only.
-//
-//   - Convergence detection: after restore, a checkpointing policy
-//     re-executes at most ReplayDistance cycles before it is back at the
-//     kill boundary. The fork runs exactly that far; if its architectural
-//     state and memory then match the trunk's (which IS the golden state at
-//     that boundary), the remainder of the run is deterministic and
-//     identical to the golden suffix, so the fork is clean and is
-//     discarded without executing it. Only forks that fail to re-converge —
-//     actual crash-consistency violations, skim-point jumps, memo-induced
-//     cycle drift, or a Restart reboot that takes a different path — run
-//     to halt and are diffed against the golden run.
-//
-// Reports are identical in every field to running each injected run from
-// reset; the tests keep that engine as the oracle.
+// forced power failure per scheduled kill point through campaign. Errors
+// are infrastructure failures (a program that faults, or that does not
+// halt within the golden run's bound even uninterrupted); divergences are
+// reported in the Report, not as errors.
 func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("faultinject: Config.Policy is required")
 	}
 	normalize(&cfg)
 
-	var costs []cpu.Cost
-	golden, err := runOnce(t, cfg, noKill, ^uint64(0), &costs, nil)
+	golden, err := goldenRun(t, cfg, nil, true, false)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
 	}
-	if !golden.halted {
-		return nil, fmt.Errorf("faultinject: %s: golden run did not halt", t.Name)
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 4*golden.cycles + 65536
-	}
+	cfg.Budget = cmp.Or(cfg.Budget, 4*golden.cycles+65536)
 
-	points := killPoints(costs, golden.cycles, sched)
+	points := killPoints(golden.costs, golden.cycles, sched)
 	rep := &Report{
 		Target:             t.Name,
 		Policy:             cfg.Policy().Name(),
@@ -69,50 +38,99 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if n := len(points); n > 0 {
 		rep.StrideCycles = golden.cycles / uint64(n)
 	}
+	goldens := [][]byte{golden.data}
+	err = inject(t, cfg, golden.cycles, points, nil, func(kill killPoint, got *runResult) {
+		rep.Schedule = append(rep.Schedule, kill.cycle)
+		if d, diverged := diff(kill, goldens, got, nil); diverged {
+			rep.Divergences = append(rep.Divergences, d)
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("faultinject: %s: %w", t.Name, err)
+	}
+	return rep, nil
+}
+
+// inject is the kill-point engine RunLockstep and CrossValidate drive; the
+// tests swap in a from-reset engine as its oracle.
+var inject = campaign
+
+// campaign is the kill-point engine shared by RunLockstep and
+// CrossValidate. It visits the points in ascending cycle order (stably, so
+// points already in that order keep it) and hands visit each one's
+// outcome: nil when the injected run is clean by construction, else the
+// run's result for the caller to diff. onKill, when non-nil, runs on the
+// injected device right after the forced failure/restore round trip;
+// CrossValidate advances its input words there, modeling an external world
+// that moved on while the device was dark.
+//
+// Running every injected run from reset would cost O(points x program
+// length): each re-executes the prefix up to its kill point and the suffix
+// after it, even though the prefix is identical to the golden run by
+// construction and the suffix is identical whenever the restore path
+// re-converges. The campaign instead batches the points through one shared
+// trunk execution and exploits both halves:
+//
+//   - Prefix sharing: one trunk device executes the golden path once. At
+//     each kill boundary the trunk is forked — memory is deep-copied, the
+//     CPU shares the trunk's decode cache and superblock translation, and
+//     the policy state (checkpoint, undo log) is duplicated — and the
+//     forced failure/restore round trip is applied to the fork only.
+//
+//   - Convergence detection: after restore, a checkpointing policy
+//     re-executes at most ReplayDistance cycles before it is back at the
+//     kill boundary. The fork runs exactly that far; if its architectural
+//     state and memory then match the trunk's (which IS the golden state at
+//     that boundary), the remainder of the run is deterministic and
+//     identical to the golden suffix, so the fork is clean and is
+//     discarded without executing it. Only forks that fail to re-converge —
+//     actual crash-consistency violations, skim-point jumps, memo-induced
+//     cycle drift, a Restart reboot that takes a different path, or inputs
+//     onKill advanced — run to halt and are diffed against the golden run.
+//
+// Outcomes are identical to running each injected run from reset; the
+// tests keep that engine as the oracle.
+func campaign(t Target, cfg Config, goldenCycles uint64, points []killPoint,
+	onKill func(*mem.Memory) error, visit func(killPoint, *runResult)) error {
+	points = slices.Clone(points)
+	slices.SortStableFunc(points, func(a, b killPoint) int { return cmp.Compare(a.cycle, b.cycle) })
 
 	trunk, err := newDevice(t, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("faultinject: %s: trunk: %w", t.Name, err)
+		return fmt.Errorf("trunk: %w", err)
 	}
 	// Dirty-extent tracking turns per-kill-point fork costs from
 	// O(memory size) into O(bytes touched): the first fork deep-copies,
 	// and each later kill point re-syncs that same child device by copying
 	// only what either side wrote since the previous sync.
 	trunk.m.SetDirtyTracking(true)
-	trunk.tracked = true
-	var spare *device
+	var child *device
 	for _, kill := range points {
-		rep.Schedule = append(rep.Schedule, kill.cycle)
 		// Advance the trunk to the first instruction boundary at or past
-		// the kill cycle — exactly where runOnce would force the failure.
-		if err := trunk.runTo(kill.cycle, cfg.Budget, nil); err != nil {
-			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
+		// the kill cycle — exactly where a run from reset would force the
+		// failure.
+		if err := trunk.runTo(kill.cycle, cfg.Budget); err != nil {
+			return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
 		}
 		if trunk.c.Halted {
 			// The boundary at/past this kill cycle is the HALT retirement:
-			// runOnce never injects and the run trivially matches golden.
+			// no failure is injected and the run trivially matches golden.
+			visit(kill, nil)
 			continue
 		}
-		var child *device
-		if spare == nil {
+		if child == nil {
 			trunk.m.ResetDirty()
-			child = trunk.fork()
+			child = trunk.forkOnto(trunk.m.Clone())
 		} else {
-			child = trunk.forkInto(spare)
+			child = trunk.forkInto(child)
 		}
-		spare = child
-		got, err := child.finish(trunk, golden.cycles, cfg.Budget)
+		got, err := child.finish(trunk, goldenCycles, cfg.Budget, onKill)
 		if err != nil {
-			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
+			return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
 		}
-		if got == nil {
-			continue // re-converged: clean by construction
-		}
-		if d, diverged := diff(kill, &golden, got); diverged {
-			rep.Divergences = append(rep.Divergences, d)
-		}
+		visit(kill, got)
 	}
-	return rep, nil
+	return nil
 }
 
 // normalize fills the Config defaults: the default memory geometry and
@@ -126,41 +144,44 @@ func normalize(cfg *Config) {
 	}
 }
 
-// finish applies the forced failure to a freshly forked child and resolves
-// its outcome. It returns nil when the child provably re-converges with
-// the trunk (final memory identical to golden — clean), or the child's
-// full run result for the caller to diff.
-func (d *device) finish(trunk *device, goldenCycles, budget uint64) (*runResult, error) {
+// finish applies the forced failure (and onKill) to a freshly forked child
+// and resolves its outcome. It returns nil when the child provably
+// re-converges with the trunk (final memory identical to golden — clean),
+// or the child's full run result for the caller to diff.
+func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(*mem.Memory) error) (*runResult, error) {
 	dist := d.policy.ReplayDistance()
 	d.r.ForceFailure()
+	if onKill != nil {
+		if err := onKill(d.m); err != nil {
+			return nil, err
+		}
+	}
 
 	// The convergence shortcut is only sound comfortably inside the budget:
 	// near the line, whether the re-executed run halts before exceeding it
 	// depends on sub-window boundaries, so defer to a full run.
 	if goldenCycles+dist+cpu.MaxInstrCycles <= budget {
 		target := d.cycles + dist
-		if err := d.runTo(target, budget, nil); err != nil {
+		if err := d.runTo(target, budget); err != nil {
 			return nil, err
 		}
 		if !d.c.Halted && d.cycles == target && d.converged(trunk) {
 			return nil, nil
 		}
 	}
-	if err := d.runTo(noKill, budget, nil); err != nil {
+	if err := d.runTo(^uint64(0), budget); err != nil {
 		return nil, err
 	}
-	res, err := d.result()
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return d.result()
 }
 
 // converged reports whether the child's architectural state and memory
 // match the trunk's at the same pure-cycle instruction boundary. Stats,
 // tracking shadow state, and policy-internal counters are excluded: they
 // affect overhead accounting, never the data a deterministic continuation
-// computes.
+// computes. Both memories were byte-identical at the fork's last sync and
+// each side has recorded every write since, so comparing the union of the
+// two dirty extents is a full state-equality test.
 func (d *device) converged(trunk *device) bool {
 	c, tc := d.c, trunk.c
 	if c.Regs != tc.Regs ||
@@ -168,11 +189,5 @@ func (d *device) converged(trunk *device) bool {
 		c.SkimArmed != tc.SkimArmed || c.SkimTarget != tc.SkimTarget {
 		return false
 	}
-	if d.tracked && trunk.tracked {
-		// Both memories were byte-identical at the fork's last sync and each
-		// side has recorded every write since, so comparing the union of the
-		// two dirty extents is a full state-equality test.
-		return d.m.EqualWithin(trunk.m, d.m.Dirty().Union(trunk.m.Dirty()))
-	}
-	return d.m.StateEqual(trunk.m)
+	return d.m.EqualWithin(trunk.m, d.m.Dirty().Union(trunk.m.Dirty()))
 }

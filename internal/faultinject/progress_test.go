@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"strings"
 	"testing"
 
 	"whatsnext/internal/compiler"
@@ -152,5 +153,26 @@ func TestLivelockFlaggedAndWitnessed(t *testing.T) {
 	}
 	if c.Halted {
 		t.Fatal("livelock program halted")
+	}
+}
+
+// TestLivelockGoldenRunBounded: a golden run that never halts is an error
+// naming its bound, not a hang. RunLockstep and CrossValidate both honour
+// Config.Budget for it.
+func TestLivelockGoldenRunBounded(t *testing.T) {
+	p := loadProgram(t, "livelock.s")
+	_, cert, err := wncheck.Verify(p, wncheck.Options{Progress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := faultinject.FromProgram("livelock.s", p)
+	cfg := faultinject.Config{Policy: policyFactory("nvp"), Budget: 1 << 16}
+	_, err = faultinject.RunLockstep(target, cfg, faultinject.Schedule{Exhaustive: true})
+	if err == nil || !strings.Contains(err.Error(), "did not halt within 65536 cycles") {
+		t.Errorf("RunLockstep: err = %v, want the golden run's 65536-cycle bound", err)
+	}
+	_, err = faultinject.CrossValidate(target, faultinject.CrossConfig{Config: cfg}, cert)
+	if err == nil || !strings.Contains(err.Error(), "did not halt within 65536 cycles") {
+		t.Errorf("CrossValidate: err = %v, want the golden run's 65536-cycle bound", err)
 	}
 }

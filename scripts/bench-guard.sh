@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
-# bench-guard.sh — fail when the end-to-end Table I benchmark is slower at
-# HEAD than at a reference commit measured on the same machine.
+# bench-guard.sh — fail when a guarded benchmark is slower at HEAD than at a
+# reference commit measured on the same machine.
 #
 # Usage: scripts/bench-guard.sh
 #
-# Builds the root package's test binary from the reference commit and from
-# HEAD (each exported with `git archive`, so uncommitted changes are not
-# measured), then runs BenchmarkTableI -benchtime 20x with both binaries in
-# five alternating pairs (the side that runs first alternates). It compares
-# the fastest run of each side, the least-noise estimator on shared runners,
-# and exits non-zero when HEAD's is more than BENCH_TOLERANCE_PCT percent
-# (default 10) above the reference's.
+# Guarded benchmarks (the `guarded` list below): the end-to-end Table I
+# benchmark in the root package, and the strided and exhaustive lockstep
+# campaigns in internal/faultinject. For each package the script builds the
+# test binary from the reference commit and from HEAD (each exported with
+# `git archive`, so uncommitted changes are not measured). Each benchmark
+# then runs with both binaries in five alternating pairs (the side that
+# runs first alternates). The script compares the fastest run of each side,
+# the least-noise estimator on shared runners, and exits non-zero when
+# HEAD's is more than BENCH_TOLERANCE_PCT percent (default 10) above the
+# reference's for any guarded benchmark.
 #
 # The reference is BENCH_GUARD_REF, by default the merge-base of HEAD and
 # origin/main; when that is HEAD itself (a push to main) it is HEAD~1. Both
@@ -19,6 +22,13 @@
 # fetch-depth: 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# package, benchmark, -benchtime: one guarded benchmark per line.
+guarded=(
+    ". BenchmarkTableI 20x"
+    "./internal/faultinject BenchmarkStridedCampaign 20x"
+    "./internal/faultinject BenchmarkExhaustiveLockstep 100x"
+)
 
 tolerance_pct="${BENCH_TOLERANCE_PCT:-10}"
 pairs=5
@@ -30,50 +40,62 @@ if [[ -z "${BENCH_GUARD_REF:-}" && "$ref_sha" == "$head_sha" ]]; then
     ref_sha=$(git rev-parse --verify "HEAD~1^{commit}")
 fi
 
+# binary PKG names the test binary built for a package (per side).
+binary() { echo "${1//[.\/]/_}.test"; }
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+pkgs=$(for g in "${guarded[@]}"; do echo "${g%% *}"; done | sort -u)
 for side in ref head; do
     sha=$ref_sha
     [[ $side == head ]] && sha=$head_sha
     mkdir -p "$tmp/$side"
     git archive "$sha" | tar -x -C "$tmp/$side"
-    (cd "$tmp/$side" && go test -c -o "$tmp/$side.test" .)
+    for pkg in $pkgs; do
+        (cd "$tmp/$side" && go test -c -o "$tmp/$side-$(binary "$pkg")" "$pkg")
+    done
 done
 
 echo "bench-guard: reference ${ref_sha:0:12}, HEAD ${head_sha:0:12}, ${pairs} pairs, tolerance ${tolerance_pct}%"
 
-# bench SIDE prints the ns/op of one BenchmarkTableI run.
+# bench SIDE PKG NAME BENCHTIME prints the ns/op of one benchmark run,
+# executed in the package directory so it finds its testdata.
 bench() {
-    (cd "$tmp/$1" && "$tmp/$1.test" -test.run '^$' -test.bench 'BenchmarkTableI$' -test.benchtime 20x) |
-        awk '/^BenchmarkTableI/{print $3}'
+    (cd "$tmp/$1/$2" && "$tmp/$1-$(binary "$2")" -test.run '^$' -test.bench "^$3\$" -test.benchtime "$4") |
+        awk -v name="$3" '$1 ~ "^" name "(-[0-9]+)?$" {print $3}'
 }
 
-: >"$tmp/ref.ns"
-: >"$tmp/head.ns"
-for ((i = 1; i <= pairs; i++)); do
-    order="ref head"
-    if ((i % 2 == 0)); then order="head ref"; fi
-    for side in $order; do
-        ns=$(bench "$side")
-        if [[ -z "$ns" ]]; then
-            echo "bench-guard: $side benchmark produced no BenchmarkTableI line" >&2
-            exit 1
-        fi
-        echo "$ns" >>"$tmp/$side.ns"
+failed=0
+for g in "${guarded[@]}"; do
+    read -r pkg name benchtime <<<"$g"
+    : >"$tmp/ref.ns"
+    : >"$tmp/head.ns"
+    for ((i = 1; i <= pairs; i++)); do
+        order="ref head"
+        if ((i % 2 == 0)); then order="head ref"; fi
+        for side in $order; do
+            ns=$(bench "$side" "$pkg" "$name" "$benchtime")
+            if [[ -z "$ns" ]]; then
+                echo "bench-guard: $side benchmark produced no $name line" >&2
+                exit 1
+            fi
+            echo "$ns" >>"$tmp/$side.ns"
+        done
+        echo "bench-guard: $name pair $i: ref $(tail -n 1 "$tmp/ref.ns") ns/op, head $(tail -n 1 "$tmp/head.ns") ns/op"
     done
-    echo "bench-guard: pair $i: ref $(tail -n 1 "$tmp/ref.ns") ns/op, head $(tail -n 1 "$tmp/head.ns") ns/op"
-done
 
-ref_ns=$(sort -n "$tmp/ref.ns" | head -n 1)
-head_ns=$(sort -n "$tmp/head.ns" | head -n 1)
-awk -v head="$head_ns" -v ref="$ref_ns" -v tol="$tolerance_pct" 'BEGIN {
-    limit = ref * (1 + tol / 100)
-    ratio = head / ref
-    if (head > limit) {
-        printf "bench-guard: FAIL — HEAD best %.0f ns/op exceeds %.0f ns/op (%.1f%% over the reference best %.0f, tolerance %s%%)\n",
-            head, limit, (ratio - 1) * 100, ref, tol
-        exit 1
-    }
-    printf "bench-guard: OK — HEAD best %.0f ns/op is %.2fx of the reference best %.0f (limit %.0f ns/op)\n",
-        head, ratio, ref, limit
-}'
+    ref_ns=$(sort -n "$tmp/ref.ns" | head -n 1)
+    head_ns=$(sort -n "$tmp/head.ns" | head -n 1)
+    awk -v name="$name" -v head="$head_ns" -v ref="$ref_ns" -v tol="$tolerance_pct" 'BEGIN {
+        limit = ref * (1 + tol / 100)
+        ratio = head / ref
+        if (head > limit) {
+            printf "bench-guard: FAIL — %s: HEAD best %.0f ns/op exceeds %.0f ns/op (%.1f%% over the reference best %.0f, tolerance %s%%)\n",
+                name, head, limit, (ratio - 1) * 100, ref, tol
+            exit 1
+        }
+        printf "bench-guard: OK — %s: HEAD best %.0f ns/op is %.2fx of the reference best %.0f (limit %.0f ns/op)\n",
+            name, head, ratio, ref, limit
+    }' || failed=1
+done
+exit "$failed"

@@ -29,9 +29,10 @@ for f in internal/faultinject/testdata/*.s; do
     flags=(-crash -faults 24)
     case "$f" in
         */repeated_input.s) flags=(-crash -input 0x10000000:0x10000004) ;;
-        # livelock.s never halts, so injection's golden run would spin
-        # forever; its flag is WN201 (-wcec) and its dynamic witness is the
-        # cycle-budget test in internal/faultinject.
+        # livelock.s never halts, so injection's golden run only stops at
+        # its 2^32-cycle guard, with an error, after tens of seconds; its
+        # flag is WN201 (-wcec) and its dynamic witnesses are the
+        # cycle-budget tests in internal/faultinject.
         */livelock.s) flags=(-wcec) ;;
     esac
     if go run ./cmd/wnlint "${flags[@]}" "$f" >/dev/null 2>&1; then
