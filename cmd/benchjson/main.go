@@ -5,11 +5,7 @@
 //
 // Usage:
 //
-//	go test -bench . ./... | benchjson [-o FILE] [-baseline NAME=NS,...]
-//
-// The optional -baseline list records a reference ns/op per benchmark and a
-// derived speedup, so a checked-in summary documents what the numbers were
-// measured against.
+//	go test -bench . ./... | benchjson [-o FILE]
 package main
 
 import (
@@ -31,9 +27,6 @@ type Result struct {
 	// InstructionsPerSec is derived from an "instructions/op" metric when
 	// the benchmark reports one.
 	InstructionsPerSec float64 `json:"instructions_per_sec,omitempty"`
-	// BaselineNsPerOp and Speedup are filled from -baseline entries.
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	Speedup         float64 `json:"speedup,omitempty"`
 }
 
 // benchLine matches e.g. "BenchmarkTableI  40  8789206 ns/op  25.38 avg_amenable_%".
@@ -79,32 +72,8 @@ func parse(lines *bufio.Scanner) (map[string]*Result, error) {
 	return out, lines.Err()
 }
 
-func applyBaselines(results map[string]*Result, spec string) error {
-	if spec == "" {
-		return nil
-	}
-	for _, entry := range strings.Split(spec, ",") {
-		name, ns, ok := strings.Cut(strings.TrimSpace(entry), "=")
-		if !ok {
-			return fmt.Errorf("bad -baseline entry %q (want NAME=NS)", entry)
-		}
-		base, err := strconv.ParseFloat(ns, 64)
-		if err != nil {
-			return fmt.Errorf("bad -baseline value in %q: %v", entry, err)
-		}
-		if r, found := results[name]; found && base > 0 && r.NsPerOp > 0 {
-			r.BaselineNsPerOp = base
-			r.Speedup = base / r.NsPerOp
-		}
-	}
-	return nil
-}
-
 func main() {
-	var (
-		outPath  = flag.String("o", "", "write JSON here instead of stdout")
-		baseline = flag.String("baseline", "", "comma-separated NAME=NS_PER_OP reference values")
-	)
+	outPath := flag.String("o", "", "write JSON here instead of stdout")
 	flag.Parse()
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -116,10 +85,6 @@ func main() {
 	}
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-	if err := applyBaselines(results, *baseline); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 

@@ -50,15 +50,6 @@ type Program struct {
 	File     string            // source file name, when assembled via AssembleNamed
 }
 
-// AmenableSet returns the amenable addresses as a lookup set for the CPU.
-func (p *Program) AmenableSet() map[uint32]bool {
-	s := make(map[uint32]bool, len(p.Amenable))
-	for _, a := range p.Amenable {
-		s[a] = true
-	}
-	return s
-}
-
 // Error is an assembly diagnostic with a line number and, when the source
 // came in through AssembleNamed, the file it was read from.
 type Error struct {

@@ -138,10 +138,6 @@ func TestAmenableDirective(t *testing.T) {
 			t.Errorf("amenable[%d] = %#x, want %#x", i, a, want[i])
 		}
 	}
-	set := p.AmenableSet()
-	if !set[want[0]] || !set[want[1]] || len(set) != 2 {
-		t.Errorf("AmenableSet wrong: %v", set)
-	}
 }
 
 func TestBoundDirective(t *testing.T) {

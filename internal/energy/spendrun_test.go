@@ -39,7 +39,9 @@ func supplyState(s *Supply) string {
 }
 
 // spendEach is the per-instruction reference SpendRun must reproduce: one
-// Spend per cost with the runner's AfterStep arithmetic.
+// Spend per cost, each carrying its per-cycle backup surcharge and the
+// window's first and last overheads, as the intermittent package's
+// per-instruction reference loop charges them.
 func spendEach(s *Supply, costs []cpu.Cost, backup float64, first, last Overhead) (int, bool) {
 	cfg := s.Config()
 	for i, c := range costs {

@@ -93,29 +93,16 @@ func NewSupply(cfg DeviceConfig, trace *Trace) *Supply {
 // Config returns the device parameters.
 func (s *Supply) Config() DeviceConfig { return s.cfg }
 
-// Voltage returns the current capacitor voltage.
-func (s *Supply) Voltage() float64 {
-	return math.Sqrt(2 * s.energy / s.cfg.CapacitanceF)
-}
-
-// Powered reports whether the device is currently on.
-func (s *Supply) Powered() bool { return s.powered }
-
 // Headroom returns the joules stored above the brown-out threshold. Batch
 // schedulers divide it by a worst-case per-cycle drain to bound how many
 // cycles can run without a brown-out.
 func (s *Supply) Headroom() float64 { return s.energy - s.offE }
 
-// Now returns the simulated time in seconds.
-func (s *Supply) Now() float64 {
-	return float64(s.CyclesOn+s.CyclesOff) * s.cycleSec
-}
-
 // TotalCycles returns elapsed wall-clock time in cycle units (on + off).
 func (s *Supply) TotalCycles() uint64 { return s.CyclesOn + s.CyclesOff }
 
 // harvestAt returns the harvested power at total-cycle count t: the trace
-// sample uint64(Now()*SampleHz), wrapping the trace, times HarvestEff. A
+// sample uint64(t*cycleSec*SampleHz), wrapping the trace, times HarvestEff. A
 // sample spans ClockHz/SampleHz cycles (24 000 at the defaults), so the
 // supply caches it until the cycle count at which the sample changes, and
 // a lookup inside a sample is a single compare. Only the Supply's own
@@ -140,7 +127,7 @@ func (s *Supply) loadSample(t uint64) {
 }
 
 // sampleIndex is the unwrapped trace sample in effect at total-cycle count
-// t, computed exactly as uint64(Now()*SampleHz).
+// t: the simulated time t*cycleSec in seconds, times SampleHz, truncated.
 func (s *Supply) sampleIndex(t uint64) uint64 {
 	return uint64(float64(t) * s.cycleSec * s.trace.SampleHz)
 }

@@ -38,17 +38,6 @@ func (q QualityCurve) SimulatedCycles() uint64 {
 	return q.BaselineCycles + q.FinalCycles
 }
 
-// EarliestAcceptable returns the first point at or below the NRMSE
-// threshold, in normalized runtime.
-func (q QualityCurve) EarliestAcceptable(maxNRMSE float64) (QualityPoint, bool) {
-	for _, p := range q.Points {
-		if p.NRMSE <= maxNRMSE {
-			return p, true
-		}
-	}
-	return QualityPoint{}, false
-}
-
 // RuntimeQuality reproduces one series of Figure 9: the benchmark's WN
 // variant runs to completion under continuous power while the harness
 // periodically scores the output in non-volatile memory against the golden

@@ -32,10 +32,16 @@ func TestSpeedupSmoke(t *testing.T) {
 		t.Skip("intermittent sweep")
 	}
 	b := workloads.Var()
-	row, err := speedupOne(core.ProcClank, b, b.ScaledParams(), 4, Protocol{Traces: 2, Invocations: 1})
+	proto := Protocol{Traces: 2, Invocations: 1}
+	jobs, err := ResolveSpecs(speedupSpecs(core.ProcClank, b, b.ScaledParams(), 4, proto))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells, err := runSweep[speedupCell](proto.runner(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := speedupRow(b, 4, cells)
 	t.Logf("Var 4-bit on clank: %.2fx speedup, %.2f%% NRMSE (%d samples)", row.Speedup, row.NRMSE, row.Samples)
 	if row.Speedup <= 1.0 {
 		t.Errorf("expected speedup > 1, got %.3f", row.Speedup)

@@ -235,19 +235,6 @@ func speedupRow(b *workloads.Benchmark, bits int, cells []speedupCell) SpeedupRo
 	}
 }
 
-// speedupOne runs a single bar pair through the engine (used by tests).
-func speedupOne(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, proto Protocol) (SpeedupRow, error) {
-	jobs, err := ResolveSpecs(speedupSpecs(proc, b, p, bits, proto))
-	if err != nil {
-		return SpeedupRow{}, err
-	}
-	cells, err := runSweep[speedupCell](proto.runner(), jobs)
-	if err != nil {
-		return SpeedupRow{}, fmt.Errorf("speedup %s/%d-bit on %s: %w", b.Name, bits, proc, err)
-	}
-	return speedupRow(b, bits, cells), nil
-}
-
 // SpeedupSummary averages the per-benchmark rows for one subword size, as
 // quoted in the paper's abstract (e.g. 1.78x/3.02x on Clank).
 func SpeedupSummary(rows []SpeedupRow, bits int) (speedup, nrmse float64) {

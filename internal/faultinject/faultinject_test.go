@@ -8,6 +8,7 @@ import (
 	"whatsnext/internal/asm"
 	"whatsnext/internal/faultinject"
 	"whatsnext/internal/intermittent"
+	"whatsnext/internal/intermittent/policytest"
 	"whatsnext/internal/wncheck"
 )
 
@@ -34,9 +35,9 @@ func policyFactory(name string) func() intermittent.Policy {
 	case "undolog":
 		return func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) }
 	case "naive":
-		return func() intermittent.Policy { return intermittent.NewNaive(intermittent.DefaultNaiveConfig()) }
+		return func() intermittent.Policy { return policytest.NewNaive(policytest.DefaultNaiveConfig()) }
 	case "restart":
-		return func() intermittent.Policy { return intermittent.NewRestart(intermittent.DefaultRestartConfig()) }
+		return func() intermittent.Policy { return policytest.NewRestart(policytest.DefaultRestartConfig()) }
 	}
 	panic("unknown policy " + name)
 }

@@ -118,10 +118,10 @@ func (d *device) forkOnto(m *mem.Memory) *device {
 // boundary at or past stop (pure CPU cycles), or crosses budget. The loop
 // mirrors the batched executor in internal/intermittent: windows are
 // bounded by the policy's horizon so overhead charges (watchdog
-// checkpoints) land on the exact instruction per-instruction AfterStep
-// calls would pick, the policy advances once per window through BatchWindow, and
-// NV-data stores are routed through Step so BeforeStore hooks (Clank's
-// violation checkpoints, the undo log) retain full fidelity.
+// checkpoints) land on the exact instruction that charging one instruction
+// at a time would pick, the policy advances once per window through
+// BatchWindow, and NV-data stores are routed through Step so BeforeStore
+// hooks (Clank's violation checkpoints, the undo log) retain full fidelity.
 func (d *device) runTo(stop, budget uint64) error {
 	var forceStep bool
 	for !d.c.Halted {

@@ -24,15 +24,6 @@ var U8x8 = Q{IntBits: 8, FracBits: 8}
 // U4x12 is a high-precision unsigned format for coefficients in [0,16).
 var U4x12 = Q{IntBits: 4, FracBits: 12}
 
-// Bits returns the total storage width.
-func (q Q) Bits() int {
-	b := q.IntBits + q.FracBits
-	if q.Signed {
-		b++
-	}
-	return b
-}
-
 // One returns the fixed-point representation of 1.0.
 func (q Q) One() int64 { return 1 << q.FracBits }
 
@@ -63,31 +54,6 @@ func (q Q) FromFloat(v float64) int64 {
 	return int64(scaled)
 }
 
-// ToFloat converts back to floating point.
-func (q Q) ToFloat(v int64) float64 {
-	return float64(v) / float64(q.One())
-}
-
-// Quantize rounds a float through the format (the conversion error a port
-// to fixed point incurs).
-func (q Q) Quantize(v float64) float64 { return q.ToFloat(q.FromFloat(v)) }
-
-// String renders the format conventionally (e.g. "UQ8.8").
-func (q Q) String() string {
-	s := "UQ"
-	if q.Signed {
-		s = "Q"
-	}
-	return fmt.Sprintf("%s%d.%d", s, q.IntBits, q.FracBits)
-}
-
-// Mul multiplies two fixed-point values of the same format, keeping the
-// format (truncating the extra fractional bits like the hardware shift in
-// the generated kernels does).
-func (q Q) Mul(a, b int64) int64 {
-	return a * b >> q.FracBits
-}
-
 // ConvertSlice quantizes a float slice into the format.
 func ConvertSlice(q Q, vs []float64) []int64 {
 	out := make([]int64, len(vs))
@@ -95,22 +61,6 @@ func ConvertSlice(q Q, vs []float64) []int64 {
 		out[i] = q.FromFloat(v)
 	}
 	return out
-}
-
-// MaxRelativeError returns the worst-case |quantize(v)-v|/|v| over the
-// samples (ignoring zeros), in percent — the paper's conversion-fidelity
-// metric.
-func MaxRelativeError(q Q, vs []float64) float64 {
-	worst := 0.0
-	for _, v := range vs {
-		if v == 0 {
-			continue
-		}
-		if rel := math.Abs(q.Quantize(v)-v) / math.Abs(v); rel > worst {
-			worst = rel
-		}
-	}
-	return 100 * worst
 }
 
 // NormalizeWeights scales a positive float kernel so its quantized integer

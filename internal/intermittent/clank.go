@@ -3,7 +3,6 @@ package intermittent
 import (
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
-	"whatsnext/internal/isa"
 )
 
 // ClankConfig parameterizes the checkpoint-based volatile-processor runtime.
@@ -89,8 +88,8 @@ func (c *Clank) takeCheckpoint() {
 
 // BatchHorizon implements Policy: the batched executor may run until the
 // watchdog would fire (the checkpoint then lands on the window's final
-// instruction, exactly where per-instruction AfterStep calls put it).
-// AfterStep charges no per-cycle surcharge.
+// instruction, exactly where stepping one instruction at a time puts it).
+// Clank charges no per-cycle surcharge.
 func (c *Clank) BatchHorizon() (uint64, float64) {
 	if c.sinceCheckpoint >= c.cfg.WatchdogCycles {
 		return 0, 0
@@ -110,19 +109,6 @@ func (c *Clank) BatchWindow(cycles uint64) (first, last energy.Overhead) {
 	return first, last
 }
 
-// AfterStep implements Policy: it applies the watchdog and surfaces any
-// checkpoint overhead accrued during the instruction.
-func (c *Clank) AfterStep(cost cpu.Cost) (uint32, float64) {
-	c.sinceCheckpoint += uint64(cost.Cycles)
-	if c.sinceCheckpoint >= c.cfg.WatchdogCycles {
-		c.takeCheckpoint()
-		c.WatchdogCheckpoints++
-	}
-	ec, ee := c.pendingOverheadC, c.pendingOverheadE
-	c.pendingOverheadC, c.pendingOverheadE = 0, 0
-	return ec, ee
-}
-
 // OnOutage implements Policy: volatile state is destroyed.
 func (c *Clank) OnOutage() {
 	c.r.CPU.PowerLoss()
@@ -136,9 +122,6 @@ func (c *Clank) OnRestore() (uint32, float64) {
 	c.r.CPU.Restore(c.checkpoint)
 	c.r.Mem.ClearAccessSets()
 	c.sinceCheckpoint = 0
-	c.r.consumeSkim()
+	c.r.ConsumeSkim()
 	return c.cfg.RestoreCycles, 0
 }
-
-// ResumePC exposes the checkpointed program counter (for tests).
-func (c *Clank) ResumePC() uint32 { return c.checkpoint.Regs[isa.PC] }

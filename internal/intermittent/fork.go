@@ -54,16 +54,6 @@ func (n *NVP) Fork(r *Runner) Policy {
 // ReplayDistance implements Policy: NVP resumes in place.
 func (n *NVP) ReplayDistance() uint64 { return 0 }
 
-// Fork implements Policy.
-func (n *Naive) Fork(r *Runner) Policy {
-	f := *n
-	f.r = r
-	return &f
-}
-
-// ReplayDistance implements Policy.
-func (n *Naive) ReplayDistance() uint64 { return n.sinceCheckpoint }
-
 // Fork implements Policy: the undo log and its dedup set are deep
 // copied — the fork's rollback must not be visible to the original.
 func (u *UndoLog) Fork(r *Runner) Policy {
@@ -80,16 +70,3 @@ func (u *UndoLog) Fork(r *Runner) Policy {
 
 // ReplayDistance implements Policy.
 func (u *UndoLog) ReplayDistance() uint64 { return u.sinceCheckpoint }
-
-// Fork implements Policy. Restart keeps no per-run state beyond the runner
-// binding and its counters.
-func (p *Restart) Fork(r *Runner) Policy {
-	f := *p
-	f.r = r
-	r.CPU.BeforeStore = nil
-	return &f
-}
-
-// ReplayDistance implements Policy: a restore reboots at the entry point,
-// so the distance is every cycle since the last reset.
-func (p *Restart) ReplayDistance() uint64 { return p.sinceReset }

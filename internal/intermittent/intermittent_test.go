@@ -1,7 +1,6 @@
 package intermittent
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -243,8 +242,8 @@ func TestViolationCheckpointResumePoint(t *testing.T) {
 	if cl.ViolationCheckpoints != 1 {
 		t.Fatalf("violations = %d, want 1", cl.ViolationCheckpoints)
 	}
-	if cl.ResumePC() != 4*4 {
-		t.Fatalf("checkpoint PC %#x, want the STR at %#x", cl.ResumePC(), 4*4)
+	if cl.checkpoint.Regs[isa.PC] != 4*4 {
+		t.Fatalf("checkpoint PC %#x, want the STR at %#x", cl.checkpoint.Regs[isa.PC], 4*4)
 	}
 }
 
@@ -402,13 +401,11 @@ func TestUndoLogLogsOncePerWordPerInterval(t *testing.T) {
 	}
 }
 
-// policyMakers builds each of the five runtimes with its default config.
+// policyMakers builds each production runtime with its default config.
 var policyMakers = map[string]func() Policy{
 	"clank":   func() Policy { return NewClank(DefaultClankConfig()) },
 	"nvp":     func() Policy { return NewNVP(DefaultNVPConfig()) },
 	"undolog": func() Policy { return NewUndoLog(DefaultUndoLogConfig()) },
-	"naive":   func() Policy { return NewNaive(DefaultNaiveConfig()) },
-	"restart": func() Policy { return NewRestart(DefaultRestartConfig()) },
 }
 
 // watchdogProgram is a pure-compute loop with no NV writes: only the
@@ -423,79 +420,6 @@ loop:
 	BNE loop
 	HALT
 `
-
-// TestBatchedMatchesReference pins the window-granular replay of
-// RunToHalt to the per-instruction reference loop for every policy, under
-// weak() and a Wi-Fi trace whose harvest power changes from sample to
-// sample: the same Result, error, supply totals and data memory. Both
-// programs outlast one charge, so Restart never completes and both loops
-// must stop at the same instruction with ErrCycleBudget. Naive re-executes
-// accumProgram's read-modify-writes against overwritten values, which both
-// loops must reproduce identically too. In the "hooked-store-first" case
-// R0 already points at NV data, so the first batched window stops before
-// executing anything while the initial checkpoint's overhead is pending.
-func TestBatchedMatchesReference(t *testing.T) {
-	traces := map[string]func() *energy.Trace{
-		"weak": weak,
-		"wifi": func() *energy.Trace { return energy.SyntheticWiFiTrace(2, energy.DefaultTraceConfig()) },
-	}
-	programs := map[string]struct {
-		src   string
-		setup func(*cpu.CPU)
-	}{
-		"accum":              {accumProgram, func(*cpu.CPU) {}},
-		"watchdog":           {watchdogProgram, func(*cpu.CPU) {}},
-		"hooked-store-first": {"STR R1, [R0, #0]\n" + accumProgram, func(c *cpu.CPU) { c.Regs[isa.R0] = mem.DataBase }},
-	}
-	for progName, prog := range programs {
-		for trName, mkTrace := range traces {
-			for name, mk := range policyMakers {
-				t.Run(progName+"/"+trName+"/"+name, func(t *testing.T) {
-					testBatchedMatchesReference(t, name, prog.src, prog.setup, mk, mkTrace)
-				})
-			}
-		}
-	}
-}
-
-func testBatchedMatchesReference(t *testing.T, name, src string, setup func(*cpu.CPU), mk func() Policy, mkTrace func() *energy.Trace) {
-	type outcome struct {
-		res              Result
-		err              error
-		drawn, charged   float64
-		voltage          float64
-		cyclesOn, instrs uint64
-		data             []byte
-	}
-	run := func(reference bool) outcome {
-		r := buildDevice(t, src, mk(), mkTrace())
-		setup(r.CPU)
-		r.MaxCycles = 2_000_000
-		res, err := runToHalt(r, reference)
-		data := make([]byte, 64*4)
-		if rerr := r.Mem.ReadData(mem.DataBase, data); rerr != nil {
-			t.Fatal(rerr)
-		}
-		return outcome{res, err, r.Supply.EnergyDrawn, r.Supply.EnergyCharged,
-			r.Supply.Voltage(), r.Supply.CyclesOn, r.CPU.Stats.Instructions, data}
-	}
-	ref, bat := run(true), run(false)
-	if ref.res != bat.res || ref.err != bat.err || ref.drawn != bat.drawn ||
-		ref.charged != bat.charged || ref.voltage != bat.voltage ||
-		ref.cyclesOn != bat.cyclesOn || ref.instrs != bat.instrs {
-		t.Fatalf("batched diverges from reference:\nreference %+v err=%v\nbatched   %+v err=%v",
-			ref.res, ref.err, bat.res, bat.err)
-	}
-	if !bytes.Equal(ref.data, bat.data) {
-		t.Fatal("data memory diverges")
-	}
-	if ref.res.Outages == 0 {
-		t.Fatal("the trace must force outages")
-	}
-	if name == "restart" && ref.err != ErrCycleBudget {
-		t.Fatalf("restart: err = %v, want ErrCycleBudget", ref.err)
-	}
-}
 
 // runToHalt runs r through the reference loop or through RunToHalt.
 func runToHalt(r *Runner, reference bool) (Result, error) {

@@ -3,7 +3,6 @@ package intermittent
 import (
 	"math"
 
-	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
 )
 
@@ -49,20 +48,14 @@ func (n *NVP) Attach(r *Runner) {
 }
 
 // BatchHorizon implements Policy: NVP has no watchdog, so only the energy
-// headroom bounds a batch; the per-cycle backup surcharge factor is the one
-// AfterStep charges.
+// headroom bounds a batch; every instruction pays the per-cycle backup
+// surcharge factor on top of its own cost.
 func (n *NVP) BatchHorizon() (uint64, float64) {
 	return math.MaxUint64, n.cfg.BackupEnergyFactor
 }
 
 // BatchWindow implements Policy: NVP never has overhead pending.
 func (n *NVP) BatchWindow(uint64) (first, last energy.Overhead) { return }
-
-// AfterStep implements Policy: charge the per-cycle backup surcharge.
-func (n *NVP) AfterStep(cost cpu.Cost) (uint32, float64) {
-	extra := float64(cost.Cycles) * n.cfg.BackupEnergyFactor * n.r.Supply.Config().EnergyPerCycle
-	return 0, extra
-}
 
 // OnOutage implements Policy: architectural state is preserved in NV
 // flip-flops. Only the (volatile SRAM-based) memo table is lost.
@@ -75,6 +68,6 @@ func (n *NVP) OnOutage() {
 
 // OnRestore implements Policy: resume in place, honoring skim points.
 func (n *NVP) OnRestore() (uint32, float64) {
-	n.r.consumeSkim()
+	n.r.ConsumeSkim()
 	return n.cfg.WakeupCycles, 0
 }

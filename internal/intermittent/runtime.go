@@ -29,18 +29,16 @@ import (
 
 // Policy is a forward-progress runtime strategy.
 //
-// RunToHalt charges a policy per window through BatchHorizon and
-// BatchWindow; AfterStep is the per-instruction form of the same charge,
-// which the tests' reference loop uses as the oracle for the windowed one.
-// Fork and ReplayDistance serve the lockstep fault injector.
+// RunToHalt charges a policy per window of instructions through
+// BatchHorizon and BatchWindow; a one-instruction window is the
+// per-instruction charge. The tests keep their own per-instruction model of
+// each policy as the oracle for the windowed one. Fork and ReplayDistance
+// serve the lockstep fault injector.
 type Policy interface {
 	// Name identifies the policy ("clank", "nvp").
 	Name() string
 	// Attach binds the policy to a device and resets its state.
 	Attach(r *Runner)
-	// AfterStep reports runtime overhead incurred by the instruction that
-	// just executed (checkpoints, per-cycle backup).
-	AfterStep(cost cpu.Cost) (extraCycles uint32, extraEnergy float64)
 	// OnOutage handles a brown-out.
 	OnOutage()
 	// OnRestore handles power returning; it must leave the CPU ready to
@@ -57,10 +55,10 @@ type Policy interface {
 	// its own cost. A zero horizon forces the runner to single-step.
 	BatchHorizon() (cycles uint64, backup float64)
 	// BatchWindow advances the policy over a window of instructions that
-	// ran `cycles` CPU cycles in total, leaving it as AfterStep on each of
-	// them would. It returns the overhead those AfterStep calls would have
-	// surfaced: first was pending before the window and rides on its first
-	// instruction; last, a watchdog checkpoint, falls due on its final one.
+	// ran `cycles` CPU cycles in total, leaving it as charging each of them
+	// in turn would. It returns the overhead the window surfaces: first was
+	// pending before the window and rides on its first instruction; last, a
+	// watchdog checkpoint, falls due on its final one.
 	BatchWindow(cycles uint64) (first, last energy.Overhead)
 	// Fork returns an independent deep copy bound to r, a runner over an
 	// already-forked device: its checkpoint snapshot, undo log, counters,
@@ -125,9 +123,11 @@ func NewRunner(c *cpu.CPU, m *mem.Memory, s *energy.Supply, p Policy) *Runner {
 	return r
 }
 
-// consumeSkim applies an armed skim point: the restore path jumps to the
-// armed target instead of the checkpoint PC (Section III-C).
-func (r *Runner) consumeSkim() {
+// ConsumeSkim applies an armed skim point: the restore path jumps to the
+// armed target instead of the checkpoint PC (Section III-C), and the run's
+// Result reports SkimTaken. It is the skim contract every Policy honours
+// from OnRestore, including policies defined outside this package.
+func (r *Runner) ConsumeSkim() {
 	if r.CPU.SkimArmed {
 		r.CPU.Regs[isa.PC] = r.CPU.SkimTarget
 		r.CPU.DisarmSkim()
@@ -170,11 +170,11 @@ const (
 // each window is charged once: Policy.BatchWindow advances the policy over
 // the whole window and Supply.SpendRun replays the recorded
 // per-instruction costs through the same float expressions, in the same
-// order, as per-instruction AfterStep and Spend calls would. Every energy
-// draw, harvest charge, checkpoint and outage therefore lands on the same
-// instruction boundary with the same floating-point values as a loop that
-// steps and charges one instruction at a time; the tests keep such a loop
-// as the oracle. Steps taken near a checkpoint or brown-out boundary, and
+// order, as charging the policy and calling Spend per instruction would.
+// Every energy draw, harvest charge, checkpoint and outage therefore lands
+// on the same instruction boundary with the same floating-point values as a
+// loop that steps and charges one instruction at a time; the tests keep
+// such a loop as the oracle. Steps taken near a checkpoint or brown-out boundary, and
 // stores that need the BeforeStore hook, go through the same path as
 // one-instruction windows.
 func (r *Runner) RunToHalt() (Result, error) {

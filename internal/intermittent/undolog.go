@@ -153,17 +153,6 @@ func (u *UndoLog) BatchWindow(cycles uint64) (first, last energy.Overhead) {
 	return first, last
 }
 
-// AfterStep implements Policy.
-func (u *UndoLog) AfterStep(cost cpu.Cost) (uint32, float64) {
-	u.sinceCheckpoint += uint64(cost.Cycles)
-	if u.sinceCheckpoint >= u.cfg.WatchdogCycles {
-		u.takeCheckpoint()
-	}
-	ec, ee := u.pendingC, u.pendingE
-	u.pendingC, u.pendingE = 0, 0
-	return ec, ee
-}
-
 // OnOutage implements Policy: volatile state is lost; the NV undo log
 // survives.
 func (u *UndoLog) OnOutage() {
@@ -182,7 +171,7 @@ func (u *UndoLog) OnRestore() (uint32, float64) {
 	var rolled int
 	if u.r.CPU.SkimArmed {
 		u.r.CPU.Restore(u.checkpoint)
-		u.r.consumeSkim()
+		u.r.ConsumeSkim()
 	} else {
 		for i := len(u.log) - 1; i >= 0; i-- {
 			e := u.log[i]

@@ -3,7 +3,6 @@ package intermittent
 import (
 	"testing"
 
-	"whatsnext/internal/cpu"
 	"whatsnext/internal/isa"
 	"whatsnext/internal/mem"
 )
@@ -111,7 +110,7 @@ func TestUndoLogWipeOnCheckpoint(t *testing.T) {
 
 	u.beforeStore(addr, 4)
 	mustStore(t, r.Mem, addr, 70)
-	u.AfterStep(cpu.Cost{Cycles: 200}) // trips the watchdog: checkpoint + wipe
+	u.BatchWindow(200) // trips the watchdog: checkpoint + wipe
 	if u.NumCheckpoints != 2 {
 		t.Fatalf("NumCheckpoints = %d, want 2 (attach + watchdog)", u.NumCheckpoints)
 	}

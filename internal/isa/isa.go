@@ -270,9 +270,6 @@ func (op Opcode) Valid() bool { return int(op) < NumOpcodes }
 // (taken-branch penalty, memoization hits).
 func (op Opcode) BaseCycles() uint32 { return opTable[op].cycles }
 
-// SignedImm reports whether the immediate field is sign-extended.
-func (op Opcode) SignedImm() bool { return opTable[op].signed }
-
 // HasRm reports whether the instruction carries a register in the imm field.
 func (op Opcode) HasRm() bool { return opTable[op].hasRm }
 
@@ -329,49 +326,6 @@ func (op Opcode) ASVLane() uint {
 		return 16
 	}
 	return 0
-}
-
-// MulASPOp returns the MUL_ASP opcode for a subword width.
-func MulASPOp(bits uint) (Opcode, error) {
-	switch bits {
-	case 1:
-		return OpMulASP1, nil
-	case 2:
-		return OpMulASP2, nil
-	case 3:
-		return OpMulASP3, nil
-	case 4:
-		return OpMulASP4, nil
-	case 8:
-		return OpMulASP8, nil
-	}
-	return OpNop, fmt.Errorf("isa: no MUL_ASP variant for %d-bit subwords", bits)
-}
-
-// AddASVOp returns the ADD_ASV opcode for a lane width.
-func AddASVOp(lane uint) (Opcode, error) {
-	switch lane {
-	case 4:
-		return OpAddASV4, nil
-	case 8:
-		return OpAddASV8, nil
-	case 16:
-		return OpAddASV16, nil
-	}
-	return OpNop, fmt.Errorf("isa: no ADD_ASV variant for %d-bit lanes", lane)
-}
-
-// SubASVOp returns the SUB_ASV opcode for a lane width.
-func SubASVOp(lane uint) (Opcode, error) {
-	switch lane {
-	case 4:
-		return OpSubASV4, nil
-	case 8:
-		return OpSubASV8, nil
-	case 16:
-		return OpSubASV16, nil
-	}
-	return OpNop, fmt.Errorf("isa: no SUB_ASV variant for %d-bit lanes", lane)
 }
 
 // Encode packs an instruction into its 32-bit representation. It returns an

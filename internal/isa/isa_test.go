@@ -63,13 +63,9 @@ func TestCycleCosts(t *testing.T) {
 }
 
 func TestASPHelpers(t *testing.T) {
-	for _, bits := range []uint{1, 2, 3, 4, 8} {
-		op, err := MulASPOp(bits)
-		if err != nil {
-			t.Fatalf("MulASPOp(%d): %v", bits, err)
-		}
+	for bits, op := range map[uint]Opcode{1: OpMulASP1, 2: OpMulASP2, 3: OpMulASP3, 4: OpMulASP4, 8: OpMulASP8} {
 		if op.ASPBits() != bits {
-			t.Errorf("MulASPOp(%d).ASPBits() = %d", bits, op.ASPBits())
+			t.Errorf("%s.ASPBits() = %d, want %d", op.Name(), op.ASPBits(), bits)
 		}
 		if op.BaseCycles() != uint32(bits) {
 			t.Errorf("MUL_ASP%d costs %d cycles, want %d (one per subword bit)", bits, op.BaseCycles(), bits)
@@ -78,33 +74,19 @@ func TestASPHelpers(t *testing.T) {
 			t.Errorf("%s should report IsMul", op.Name())
 		}
 	}
-	if _, err := MulASPOp(5); err == nil {
-		t.Error("MulASPOp(5) should fail")
-	}
 	if OpAdd.ASPBits() != 0 {
 		t.Error("ADD is not an anytime multiply")
 	}
 }
 
 func TestASVHelpers(t *testing.T) {
-	for _, lane := range []uint{4, 8, 16} {
-		add, err := AddASVOp(lane)
-		if err != nil {
-			t.Fatalf("AddASVOp(%d): %v", lane, err)
-		}
-		sub, err := SubASVOp(lane)
-		if err != nil {
-			t.Fatalf("SubASVOp(%d): %v", lane, err)
-		}
-		if add.ASVLane() != lane || sub.ASVLane() != lane {
+	for lane, ops := range map[uint][2]Opcode{4: {OpAddASV4, OpSubASV4}, 8: {OpAddASV8, OpSubASV8}, 16: {OpAddASV16, OpSubASV16}} {
+		if ops[0].ASVLane() != lane || ops[1].ASVLane() != lane {
 			t.Errorf("lane mismatch for %d-bit ASV ops", lane)
 		}
 	}
-	if _, err := AddASVOp(2); err == nil {
-		t.Error("AddASVOp(2) should fail")
-	}
-	if _, err := SubASVOp(32); err == nil {
-		t.Error("SubASVOp(32) should fail")
+	if OpAdd.ASVLane() != 0 {
+		t.Error("ADD is not an anytime vector op")
 	}
 }
 
@@ -124,7 +106,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				if o.ASPBits() != 0 {
 					in.Imm = int32(rng.Intn(0x1000))
 				}
-			case o.SignedImm():
+			case opTable[o].signed:
 				in.Imm = int32(rng.Intn(1<<16)) - 1<<15
 			default:
 				in.Imm = int32(rng.Intn(1 << 16))

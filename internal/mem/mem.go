@@ -97,7 +97,7 @@ type Memory struct {
 
 	progLen int // bytes of the loaded program image (decode-cache extent)
 
-	// Access statistics (since construction or ResetStats).
+	// Access statistics (since construction).
 	Reads    uint64
 	Writes   uint64
 	NVWrites uint64
@@ -232,25 +232,6 @@ func (m *Memory) EqualWithin(o *Memory, ext DirtyExtent) bool {
 	return true
 }
 
-// Wipe returns the memory to its post-New state — all regions zeroed,
-// tracking off, counters cleared — while reusing the backing storage.
-// Harnesses that simulate many programs back to back use it to avoid
-// re-allocating the full region set per program.
-func (m *Memory) Wipe() {
-	clear(m.code)
-	clear(m.data)
-	clear(m.sram)
-	m.trackAccess = false
-	m.epoch = 1
-	m.readEpoch, m.writeEpoch = nil, nil
-	m.trackDirty = false
-	m.dirty = emptyDirty()
-	m.sramHigh = 0
-	m.curRegion, m.curBase, m.curNV = nil, 0, 0
-	m.progLen = 0
-	m.Reads, m.Writes, m.NVWrites = 0, 0, 0
-}
-
 // Config returns the sizes the memory was built with.
 func (m *Memory) Config() Config { return m.cfg }
 
@@ -276,15 +257,6 @@ func (m *Memory) Clone() *Memory {
 	n.sramHigh = m.sramHigh
 	n.Reads, n.Writes, n.NVWrites = m.Reads, m.Writes, m.NVWrites
 	return n
-}
-
-// StateEqual reports whether two memories hold identical bytes in every
-// region. Tracking shadow state and access counters are deliberately
-// excluded: they influence checkpoint placement and energy accounting, never
-// the values a deterministic continuation computes. The lockstep fault
-// injector uses this as its re-convergence test.
-func (m *Memory) StateEqual(o *Memory) bool {
-	return bytes.Equal(m.code, o.code) && bytes.Equal(m.data, o.data) && bytes.Equal(m.sram, o.sram)
 }
 
 // ProgramImage returns a copy of the loaded program image (the progLen-byte
@@ -684,9 +656,4 @@ func (m *Memory) ZeroData() {
 		m.dirty.DataLo = 0
 		m.dirty.DataHi = uint32(len(m.data))
 	}
-}
-
-// ResetStats zeroes the access counters.
-func (m *Memory) ResetStats() {
-	m.Reads, m.Writes, m.NVWrites = 0, 0, 0
 }

@@ -208,10 +208,6 @@ func TestStats(t *testing.T) {
 	if m.Reads != 1 || m.Writes != 2 || m.NVWrites != 1 {
 		t.Fatalf("stats = %d reads, %d writes, %d nv", m.Reads, m.Writes, m.NVWrites)
 	}
-	m.ResetStats()
-	if m.Reads != 0 || m.Writes != 0 || m.NVWrites != 0 {
-		t.Fatal("ResetStats failed")
-	}
 }
 
 func TestAccessErrorMessage(t *testing.T) {

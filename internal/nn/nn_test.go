@@ -8,6 +8,7 @@ import (
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/faultinject"
 	"whatsnext/internal/intermittent"
+	"whatsnext/internal/intermittent/policytest"
 	"whatsnext/internal/mem"
 	"whatsnext/internal/nn"
 	"whatsnext/internal/quality"
@@ -185,8 +186,8 @@ var nnRuntimes = []struct {
 	{"clank", func() intermittent.Policy { return intermittent.NewClank(intermittent.DefaultClankConfig()) }},
 	{"nvp", func() intermittent.Policy { return intermittent.NewNVP(intermittent.DefaultNVPConfig()) }},
 	{"undolog", func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) }},
-	{"restart", func() intermittent.Policy { return intermittent.NewRestart(intermittent.DefaultRestartConfig()) }},
-	{"naive", func() intermittent.Policy { return intermittent.NewNaive(intermittent.DefaultNaiveConfig()) }},
+	{"restart", func() intermittent.Policy { return policytest.NewRestart(policytest.DefaultRestartConfig()) }},
+	{"naive", func() intermittent.Policy { return policytest.NewNaive(policytest.DefaultNaiveConfig()) }},
 }
 
 // TestFaultInjectionClean runs exhaustive power-failure campaigns over

@@ -47,83 +47,6 @@ func NRMSE(got, want []float64) float64 {
 	return 100 * r / peak
 }
 
-// NRMSERange is NRMSE normalized by the range (max-min) of the reference
-// output, the other common convention.
-func NRMSERange(got, want []float64) float64 {
-	r := RMSE(got, want)
-	if r == 0 {
-		return 0
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range want {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	span := hi - lo
-	if span == 0 {
-		span = math.Abs(hi)
-	}
-	if span == 0 {
-		span = 1
-	}
-	return 100 * r / span
-}
-
-// MAE returns the mean absolute error.
-func MAE(got, want []float64) float64 {
-	if len(got) != len(want) {
-		panic(fmt.Sprintf("quality: length mismatch %d vs %d", len(got), len(want)))
-	}
-	if len(want) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range want {
-		sum += math.Abs(got[i] - want[i])
-	}
-	return sum / float64(len(want))
-}
-
-// MeanRelativeError returns the mean of |got-want|/|want| in percent over
-// elements with non-zero reference (used for the glucose case study's
-// "average error of 7.5%" style numbers).
-func MeanRelativeError(got, want []float64) float64 {
-	if len(got) != len(want) {
-		panic(fmt.Sprintf("quality: length mismatch %d vs %d", len(got), len(want)))
-	}
-	var sum float64
-	var n int
-	for i := range want {
-		if want[i] != 0 {
-			sum += math.Abs(got[i]-want[i]) / math.Abs(want[i])
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return 100 * sum / float64(n)
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB for a given peak value.
-// Identical signals return +Inf.
-func PSNR(got, want []float64, peak float64) float64 {
-	r := RMSE(got, want)
-	if r == 0 {
-		return math.Inf(1)
-	}
-	return 20 * math.Log10(peak/r)
-}
-
-// Ints converts integer samples to float64 for the metrics above.
-func Ints[T ~int | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32](xs []T) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // Median returns the median of xs (the paper reports medians over the
 // 3-invocation x 9-trace protocol). It copies and partially sorts.
 func Median(xs []float64) float64 {

@@ -46,20 +46,6 @@ func TestNRMSE(t *testing.T) {
 	}
 }
 
-func TestNRMSERange(t *testing.T) {
-	want := []float64{100, 200}
-	got := []float64{100, 190}
-	// RMSE = sqrt(50), range = 100.
-	exp := 100 * math.Sqrt(50) / 100
-	if v := NRMSERange(got, want); math.Abs(v-exp) > 1e-9 {
-		t.Fatalf("NRMSERange = %v, want %v", v, exp)
-	}
-	// Constant reference normalizes by |max|.
-	if v := NRMSERange([]float64{90, 90}, []float64{100, 100}); math.Abs(v-10) > 1e-9 {
-		t.Fatalf("constant-reference range NRMSE = %v", v)
-	}
-}
-
 func TestNRMSEScaleInvariance(t *testing.T) {
 	f := func(base uint16, noise uint8) bool {
 		w := []float64{float64(base) + 1, float64(base) + 2, float64(base) + 100}
@@ -72,31 +58,6 @@ func TestNRMSEScaleInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMAEAndRelative(t *testing.T) {
-	if v := MAE([]float64{1, 3}, []float64{2, 5}); v != 1.5 {
-		t.Fatalf("MAE = %v", v)
-	}
-	if MAE(nil, nil) != 0 {
-		t.Fatal("empty MAE")
-	}
-	if v := MeanRelativeError([]float64{90, 0}, []float64{100, 0}); v != 10 {
-		t.Fatalf("rel err = %v (zero-reference entries are skipped)", v)
-	}
-	if MeanRelativeError([]float64{1}, []float64{0}) != 0 {
-		t.Fatal("all-zero reference yields 0")
-	}
-}
-
-func TestPSNR(t *testing.T) {
-	if !math.IsInf(PSNR([]float64{5}, []float64{5}, 255), 1) {
-		t.Fatal("identical images have infinite PSNR")
-	}
-	v := PSNR([]float64{0}, []float64{255}, 255)
-	if math.Abs(v) > 1e-9 { // rmse == peak -> 0 dB
-		t.Fatalf("PSNR = %v", v)
 	}
 }
 
@@ -129,17 +90,6 @@ func TestMeanGeoMean(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) || !math.IsNaN(GeoMean(nil)) {
 		t.Fatal("empty aggregates are NaN")
-	}
-}
-
-func TestInts(t *testing.T) {
-	got := Ints([]int16{-2, 7})
-	if got[0] != -2 || got[1] != 7 {
-		t.Fatalf("Ints = %v", got)
-	}
-	g2 := Ints([]uint16{65535})
-	if g2[0] != 65535 {
-		t.Fatal("unsigned conversion")
 	}
 }
 

@@ -69,9 +69,6 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 	return &DiskCache{dir: dir, mem: NewMemoryCache()}, nil
 }
 
-// Dir returns the backing directory.
-func (c *DiskCache) Dir() string { return c.dir }
-
 // validCacheKey reports whether key has the shape of a spec hash (lowercase
 // hex SHA-256), guarding the filesystem against arbitrary keys.
 func validCacheKey(key string) bool {

@@ -32,27 +32,6 @@ type CFG struct {
 // slice is owned by the CFG; callers must not mutate it.
 func (g *CFG) Blocks() []CFGBlock { return g.blocks }
 
-// BlockAt returns the index of the block containing the instruction at addr,
-// or -1 if addr is outside the decoded image or misaligned.
-func (g *CFG) BlockAt(addr uint32) int {
-	if addr%isa.InstBytes != 0 {
-		return -1
-	}
-	lo, hi := 0, len(g.blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch b := g.blocks[mid]; {
-		case addr < b.Start:
-			hi = mid
-		case addr >= b.End:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	return -1
-}
-
 // ImageCFG decodes a raw program image and returns its control-flow graph:
 // leaders at the entry, at every branch target, and after every terminator
 // (branches, HALT, undecodable words), exactly as the checker's analyses see

@@ -75,20 +75,6 @@ const (
 	ClassNone // outside every modeled region
 )
 
-func (l LocClass) String() string {
-	switch l {
-	case ClassNV:
-		return "nv"
-	case ClassSRAM:
-		return "sram"
-	case ClassReg:
-		return "reg"
-	case ClassInput:
-		return "input"
-	}
-	return "none"
-}
-
 // AddrRange is a half-open address interval [Start, End).
 type AddrRange struct {
 	Start uint32 `json:"start"`
@@ -114,50 +100,6 @@ func locClassOf(addr uint32, cfg mem.Config, input []AddrRange) LocClass {
 		return ClassSRAM
 	}
 	return ClassNone
-}
-
-// EventKind is one side of the formal access relation.
-type EventKind int
-
-const (
-	Observe EventKind = iota // the instruction reads the location
-	Persist                  // the instruction writes the location
-)
-
-// Event is one observe/persist effect of an instruction against a location
-// class. Register events carry the register; memory events carry the class
-// the effective address resolved to.
-type Event struct {
-	Kind  EventKind
-	Class LocClass
-	Reg   isa.Reg // valid when Class == ClassReg
-}
-
-// InstrEvents lists the events of one instruction under the formal model.
-// memClass resolves the instruction's effective address to a location class
-// and may be nil when the address is statically unknown (the memory events
-// are then reported against ClassNone, the analyses' "could be anything"
-// value). The slice orders observe events before persist events, matching
-// execution order.
-func InstrEvents(in isa.Instruction, memClass func() LocClass) []Event {
-	var evs []Event
-	for _, u := range usesOf(in) {
-		evs = append(evs, Event{Kind: Observe, Class: ClassReg, Reg: u})
-	}
-	cls := ClassNone
-	if memClass != nil {
-		cls = memClass()
-	}
-	if in.Op.IsLoad() {
-		evs = append(evs, Event{Kind: Observe, Class: cls})
-	}
-	if in.Op.IsStore() {
-		evs = append(evs, Event{Kind: Persist, Class: cls})
-	}
-	if d, ok := defOf(in); ok {
-		evs = append(evs, Event{Kind: Persist, Class: ClassReg, Reg: d})
-	}
-	return evs
 }
 
 // Condition names for the rule table and certificates.

@@ -63,9 +63,6 @@ var extensions []*Benchmark
 // registry. Call from init only; registration order must be deterministic.
 func RegisterExtension(bs ...*Benchmark) { extensions = append(extensions, bs...) }
 
-// Extensions returns the registered extension benchmarks.
-func Extensions() []*Benchmark { return append([]*Benchmark(nil), extensions...) }
-
 // ByName finds a benchmark by its Table I name, one of the extension
 // workloads ("Mask"), or a registered extension family.
 func ByName(name string) (*Benchmark, error) {
