@@ -255,6 +255,28 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultStudy runs the strided fault-injection study serially: 512
+// power failures per cell, every Table I kernel under Clank and NVP. It is
+// the Go counterpart of bench/wnperf's faults-strided workload and fails
+// on any divergence.
+func BenchmarkFaultStudy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rows, err := experiments.FaultStudy(proto(), nil, 512)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.Divergences > 0 {
+				b.Fatalf("%s under %s: %d divergent kill points, first: %s",
+					r.Benchmark, r.Runtime, r.Divergences, r.FirstWitness)
+			}
+		}
+		if i == 0 {
+			b.ReportMetric(float64(len(rows)), "cells")
+		}
+	}
+}
+
 // BenchmarkEnvironments sweeps the harvest-source extension study.
 func BenchmarkEnvironments(b *testing.B) {
 	for i := 0; i < b.N; i++ {

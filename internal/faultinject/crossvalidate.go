@@ -3,7 +3,6 @@ package faultinject
 import (
 	"cmp"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -116,9 +115,11 @@ func (r *CrossReport) String() string {
 // against one input world.
 type goldenWorld struct {
 	cycles, instrs uint64
-	data           []byte     // final NV data
-	costs          []cpu.Cost // per instruction, when asked for
-	pcs            []uint32   // the PC each instruction executed at, when asked for
+	// m is the final memory, dirty-tracked since the target was loaded, so
+	// its Dirty extent covers every byte the run (and its setup) wrote.
+	m     *mem.Memory
+	costs []cpu.Cost // per instruction, when asked for
+	pcs   []uint32   // the PC each instruction executed at, when asked for
 	// maxCommitGap is the largest cycle distance between consecutive
 	// commit boundaries: run start, each executed skim point (whose own
 	// cost is charged to the region it ends), and halt.
@@ -150,18 +151,22 @@ var recordCap uint64 = 1 << 22
 // windows — no policy, so kill cycles and resume PCs are pure CPU figures
 // the injected runs share. Run stops right after every SKM, so each
 // StopSkim is a commit boundary. withCosts records every instruction's
-// cost (a kill-point schedule); withPCs records the PC each one executed
-// at, running one-instruction windows. setup, when non-nil, prepares the
-// memory before the run (advancing input words for an alternate world). A
-// run that does not halt within Config.Budget cycles (goldenGuard when
-// zero) is an error. Recording that run to goldenGuard could exhaust
-// memory first, so past recordCap it finishes unrecorded and, having
-// halted, is re-run recording within the cycles it took.
+// cost, which only an exhaustive schedule and CrossValidate need: both
+// select boundaries before the campaign starts. Unrecorded, the run keeps
+// fused superblocks over stores and logs nothing per instruction. withPCs
+// records the PC each instruction executed at, running one-instruction
+// windows. setup, when non-nil, prepares the memory before the run
+// (advancing input words for an alternate world). A run that does not halt
+// within Config.Budget cycles (goldenGuard when zero) is an error.
+// Recording that run to goldenGuard could exhaust memory first, so past
+// recordCap it finishes unrecorded and, having halted, is re-run recording
+// within the cycles it took.
 func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, withPCs bool) (*goldenWorld, error) {
 	m, err := loadTarget(t, cfg)
 	if err != nil {
 		return nil, err
 	}
+	m.SetDirtyTracking(true)
 	if setup != nil {
 		if err := setup(m); err != nil {
 			return nil, err
@@ -171,7 +176,7 @@ func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, w
 	c.SetAmenablePCs(t.Amenable)
 	bound := cmp.Or(cfg.Budget, goldenGuard)
 
-	g := &goldenWorld{}
+	g := &goldenWorld{m: m}
 	var costs *[]cpu.Cost
 	if withCosts {
 		costs = &g.costs
@@ -212,28 +217,28 @@ func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, w
 		cfg.Budget = g.cycles
 		return goldenRun(t, cfg, setup, withCosts, withPCs)
 	}
-	g.data = make([]byte, cfg.Mem.DataBytes)
-	if err := m.ReadData(mem.DataBase, g.data); err != nil {
-		return nil, err
-	}
 	return g, nil
 }
 
-// maskInputs zeroes the declared input words in a copy of an NV data image,
-// so world comparison ignores the input locations themselves (they differ
-// by construction after an advance).
-func maskInputs(data []byte, inputWords []uint32) []byte {
+// advanceInputs returns the model of an external world that moved on while
+// the device was dark: it advances each declared input word by one. It is
+// nil when no input words are declared.
+func advanceInputs(inputWords []uint32) func(*mem.Memory) error {
 	if len(inputWords) == 0 {
-		return data
+		return nil
 	}
-	out := append([]byte(nil), data...)
-	for _, w := range inputWords {
-		off := int(w - mem.DataBase)
-		if off >= 0 && off+4 <= len(out) {
-			binary.LittleEndian.PutUint32(out[off:], 0)
+	return func(m *mem.Memory) error {
+		for _, w := range inputWords {
+			v, err := m.LoadWord(w)
+			if err != nil {
+				return fmt.Errorf("input word %#08x: %w", w, err)
+			}
+			if err := m.StoreWord(w, v+1); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return out
 }
 
 // hazardWindow reports whether a resume PC falls inside the kill window of
@@ -266,28 +271,15 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 	if err != nil {
 		return nil, fmt.Errorf("crossvalidate: %s: golden run: %w", t.Name, err)
 	}
-	goldens := [][]byte{maskInputs(world0.data, cfg.InputWords)}
-	var onKill func(*mem.Memory) error
-	if len(cfg.InputWords) > 0 {
-		// Every forced failure advances the input words by one: the
-		// external world moved on while the device was dark.
-		onKill = func(m *mem.Memory) error {
-			for _, w := range cfg.InputWords {
-				v, err := m.LoadWord(w)
-				if err != nil {
-					return fmt.Errorf("input word %#08x: %w", w, err)
-				}
-				if err := m.StoreWord(w, v+1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	worlds := []*goldenWorld{world0}
+	if onKill := advanceInputs(cfg.InputWords); onKill != nil {
+		// Every forced failure advances the input words by one, so the run
+		// may also match a world whose inputs were advanced before it began.
 		world1, err := goldenRun(t, cfg.Config, onKill, false, false)
 		if err != nil {
 			return nil, fmt.Errorf("crossvalidate: %s: world-1 golden run: %w", t.Name, err)
 		}
-		goldens = append(goldens, maskInputs(world1.data, cfg.InputWords))
+		worlds = append(worlds, world1)
 	}
 	cfg.Budget = cmp.Or(cfg.Budget, 4*world0.cycles+65536)
 
@@ -295,7 +287,7 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 		Target:       t.Name,
 		Policy:       cfg.Policy().Name(),
 		GoldenCycles: world0.cycles,
-		Worlds:       len(goldens),
+		Worlds:       len(worlds),
 		MaxCommitGap: world0.maxCommitGap,
 	}
 	// Forward-progress direction of the contract: the dynamic worst
@@ -341,24 +333,23 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 		}
 	}
 
-	err = inject(t, cfg.Config, world0.cycles, selected, onKill, func(b killPoint, got *runResult) {
+	err = inject(t, cfg.Config, worlds, cfg.InputWords, selected, func(b killPoint, div *Divergence) {
 		isFlagged := flagged(b)
 		rep.Points++
 		if !isFlagged {
 			rep.CertifiedPoints++
 		}
-		div, diverged := diff(b, goldens, got, cfg.InputWords)
-		if !diverged {
+		if div == nil {
 			return
 		}
 		if !isFlagged {
-			rep.Violations = append(rep.Violations, div)
+			rep.Violations = append(rep.Violations, *div)
 			return
 		}
 		credited := false
 		for i := range rep.Outcomes {
 			if o := &rep.Outcomes[i]; o.Witness == nil && hazardWindow(o.Region, world0.pcs[b.instr]) {
-				o.Witness = &div
+				o.Witness = div
 				credited = true
 			}
 		}

@@ -6,7 +6,8 @@
 // forks one shared trunk execution at each kill point, forces a full
 // power-failure/restore round trip through the configured intermittent
 // runtime at that exact instruction boundary, lets the fork finish, and
-// compares its final non-volatile data region against the golden run's.
+// compares its final non-volatile data region against the golden run's
+// over the bytes either of them wrote.
 // Any difference — a differing word, or a run that no longer halts within
 // budget — is a witnessed crash-consistency violation, reported with the
 // cycle of failure and the first differing word. RunLockstep picks the
@@ -15,11 +16,17 @@
 // Kill points are expressed in pure CPU cycles (the sum of per-instruction
 // Cost.Cycles), independent of runtime overhead charges, so a schedule
 // derived from the golden run lands on the same instruction boundaries in
-// the injected runs. The static analysis in internal/wncheck (WN103,
-// WN104 under Options.Crash) is the other half of the contract: programs
-// it certifies clean must show zero divergence here, and programs it flags
-// must produce a divergence the injector can point to. The tests in this
-// package assert both directions.
+// the injected runs. A strided schedule needs only the golden run's length;
+// the trunk, stopped at each kill cycle, counts the instructions before it.
+// An exhaustive schedule and CrossValidate need every boundary's cycle (and
+// CrossValidate its PC) before the campaign starts, so only their golden
+// run records one cost per instruction.
+//
+// The static analysis in internal/wncheck (WN103, WN104 under
+// Options.Crash) is the other half of the contract: programs it certifies
+// clean must show zero divergence here, and programs it flags must produce
+// a divergence the injector can point to. The tests in this package assert
+// both directions.
 package faultinject
 
 import (
@@ -110,32 +117,24 @@ func (r *Report) String() string {
 
 // killPoint is one scheduled failure: a cycle count and, for reporting,
 // the number of instructions that start before it — those a run stopped
-// at that cycle budget has executed.
+// at that cycle budget has executed. The campaign stamps the count from
+// its trunk as it reaches the point.
 type killPoint struct {
 	cycle uint64
 	instr uint64
 }
 
-// killPoints derives the schedule from the golden run's per-instruction
-// costs. Boundaries are the cumulative cycle counts after each instruction;
-// the boundary after the final instruction (HALT) is excluded — the run is
-// already over. A strided schedule's cycles k*total/(n+1) never decrease as
-// k grows, so one forward pass over the costs finds every point's
-// instruction count.
+// killPoints derives the schedule from the golden run. A strided schedule
+// is the cycles k*total/(n+1), whose instruction counts the campaign
+// stamps. An exhaustive one is every instruction boundary, the cumulative
+// cycle counts of the recorded per-instruction costs; the boundary after
+// the final instruction (HALT) is excluded — the run is already over.
 func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 	if !sched.Exhaustive {
 		n := uint64(sched.Points)
 		pts := make([]killPoint, 0, n)
-		var cum, instr uint64
 		for k := uint64(1); k <= n; k++ {
-			c := k * total / (n + 1)
-			// Count the instructions that start before cycle c: those a
-			// run stopped at budget c has executed.
-			for instr < uint64(len(costs)) && cum < c {
-				cum += uint64(costs[instr].Cycles)
-				instr++
-			}
-			pts = append(pts, killPoint{cycle: c, instr: instr})
+			pts = append(pts, killPoint{cycle: k * total / (n + 1)})
 		}
 		return pts
 	}
@@ -158,36 +157,72 @@ func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 	return bounds
 }
 
-// diff compares an injected run against the golden worlds' final NV data
-// (one world unless input words are declared): a run matching none of them
-// is a divergence, reported against world 0. The input words are masked
-// from got as they are in the worlds. got is nil when the run is clean by
-// construction.
-func diff(kill killPoint, goldens [][]byte, got *runResult, inputWords []uint32) (Divergence, bool) {
-	if got == nil {
-		return Divergence{}, false
+// diff compares a finished injected run against the golden worlds' final
+// NV data (one world unless input words are declared): a run matching none
+// of them is a divergence, reported against world 0; nil means it matched.
+// The input words are masked on both sides. The run's memory equalled the
+// golden state at its kill boundary when it forked from the trunk, and has
+// tracked its writes since; each world's memory has tracked every write of
+// its run. Outside the union of those dirty extents the run and every
+// world therefore still hold the kill boundary's bytes, so only the union
+// is read and compared.
+func diff(kill killPoint, run *device, worlds []*goldenWorld, inputWords []uint32) (*Divergence, error) {
+	if !run.c.Halted {
+		return &Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr}, nil
 	}
-	if !got.halted {
-		return Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr}, true
+	ext := run.m.Dirty()
+	for _, w := range worlds {
+		ext = ext.Union(w.m.Dirty())
 	}
-	data := maskInputs(got.data, inputWords)
-	for _, g := range goldens {
-		if bytes.Equal(g, data) {
-			return Divergence{}, false
+	// Widened to whole words, as the comparison goes word by word.
+	lo, hi := ext.DataLo&^3, min((ext.DataHi+3)&^3, uint32(run.cfg.Mem.DataBytes)&^3)
+	if lo >= hi {
+		return nil, nil
+	}
+	got, err := dataWords(run.m, lo, hi, inputWords)
+	if err != nil {
+		return nil, err
+	}
+	var want []byte
+	for _, w := range worlds {
+		wd, err := dataWords(w.m, lo, hi, inputWords)
+		if err != nil {
+			return nil, err
+		}
+		if bytes.Equal(wd, got) {
+			return nil, nil
+		}
+		if want == nil {
+			want = wd
 		}
 	}
-	d := Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr, Halted: true}
-	for off := 0; off+4 <= len(goldens[0]); off += 4 {
-		w := binary.LittleEndian.Uint32(goldens[0][off:])
-		g := binary.LittleEndian.Uint32(data[off:])
+	d := &Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr, Halted: true}
+	for off := 0; off+4 <= len(want); off += 4 {
+		w := binary.LittleEndian.Uint32(want[off:])
+		g := binary.LittleEndian.Uint32(got[off:])
 		if w == g {
 			continue
 		}
 		if d.Words == 0 {
-			d.Addr = mem.DataBase + uint32(off)
+			d.Addr = mem.DataBase + lo + uint32(off)
 			d.Got, d.Want = g, w
 		}
 		d.Words++
 	}
-	return d, true
+	return d, nil
+}
+
+// dataWords reads the NV data bytes [lo, hi) (offsets into the region) of
+// m, with the declared input words inside that range zeroed.
+func dataWords(m *mem.Memory, lo, hi uint32, inputWords []uint32) ([]byte, error) {
+	b := make([]byte, hi-lo)
+	if err := m.ReadData(mem.DataBase+lo, b); err != nil {
+		return nil, err
+	}
+	for _, w := range inputWords {
+		if w >= mem.DataBase+lo && w-mem.DataBase+4 <= hi {
+			binary.LittleEndian.PutUint32(b[w-mem.DataBase-lo:], 0)
+		}
+	}
+	return b, nil
 }

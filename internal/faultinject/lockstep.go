@@ -21,7 +21,10 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	}
 	normalize(&cfg)
 
-	golden, err := goldenRun(t, cfg, nil, true, false)
+	// Only an exhaustive schedule needs the golden run's per-instruction
+	// boundaries; a strided one needs its length, and the campaign stamps
+	// each point's instruction count from the trunk.
+	golden, err := goldenRun(t, cfg, nil, sched.Exhaustive, false)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
 	}
@@ -38,11 +41,10 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if n := len(points); n > 0 {
 		rep.StrideCycles = golden.cycles / uint64(n)
 	}
-	goldens := [][]byte{golden.data}
-	err = inject(t, cfg, golden.cycles, points, nil, func(kill killPoint, got *runResult) {
+	err = inject(t, cfg, []*goldenWorld{golden}, nil, points, func(kill killPoint, d *Divergence) {
 		rep.Schedule = append(rep.Schedule, kill.cycle)
-		if d, diverged := diff(kill, goldens, got, nil); diverged {
-			rep.Divergences = append(rep.Divergences, d)
+		if d != nil {
+			rep.Divergences = append(rep.Divergences, *d)
 		}
 	})
 	if err != nil {
@@ -57,12 +59,12 @@ var inject = campaign
 
 // campaign is the kill-point engine shared by RunLockstep and
 // CrossValidate. It visits the points in ascending cycle order (stably, so
-// points already in that order keep it) and hands visit each one's
-// outcome: nil when the injected run is clean by construction, else the
-// run's result for the caller to diff. onKill, when non-nil, runs on the
-// injected device right after the forced failure/restore round trip;
-// CrossValidate advances its input words there, modeling an external world
-// that moved on while the device was dark.
+// points already in that order keep it) and hands visit each one, its
+// instruction count stamped from the trunk, together with the divergence
+// diff finds against the golden worlds (nil when the run is clean). worlds[0]
+// is the uninterrupted run; inputWords, when declared, advance by one on
+// each forced failure (CrossValidate's model of an external world that
+// moved on while the device was dark) and are masked from the comparison.
 //
 // Running every injected run from reset would cost O(points x program
 // length): each re-executes the prefix up to its kill point and the suffix
@@ -75,7 +77,9 @@ var inject = campaign
 //     each kill boundary the trunk is forked — memory is deep-copied, the
 //     CPU shares the trunk's decode cache and superblock translation, and
 //     the policy state (checkpoint, undo log) is duplicated — and the
-//     forced failure/restore round trip is applied to the fork only.
+//     forced failure/restore round trip is applied to the fork only. The
+//     trunk has executed exactly the instructions that start before the
+//     kill cycle, so its instruction count is the point's.
 //
 //   - Convergence detection: after restore, a checkpointing policy
 //     re-executes at most ReplayDistance cycles before it is back at the
@@ -85,15 +89,16 @@ var inject = campaign
 //     identical to the golden suffix, so the fork is clean and is
 //     discarded without executing it. Only forks that fail to re-converge —
 //     actual crash-consistency violations, skim-point jumps, memo-induced
-//     cycle drift, a Restart reboot that takes a different path, or inputs
-//     onKill advanced — run to halt and are diffed against the golden run.
+//     cycle drift, a Restart reboot that takes a different path, or
+//     advanced inputs — run to halt and are diffed against the golden run.
 //
 // Outcomes are identical to running each injected run from reset; the
 // tests keep that engine as the oracle.
-func campaign(t Target, cfg Config, goldenCycles uint64, points []killPoint,
-	onKill func(*mem.Memory) error, visit func(killPoint, *runResult)) error {
+func campaign(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
+	points []killPoint, visit func(killPoint, *Divergence)) error {
 	points = slices.Clone(points)
 	slices.SortStableFunc(points, func(a, b killPoint) int { return cmp.Compare(a.cycle, b.cycle) })
+	onKill := advanceInputs(inputWords)
 
 	trunk, err := newDevice(t, cfg)
 	if err != nil {
@@ -112,6 +117,7 @@ func campaign(t Target, cfg Config, goldenCycles uint64, points []killPoint,
 		if err := trunk.runTo(kill.cycle, cfg.Budget); err != nil {
 			return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
 		}
+		kill.instr = trunk.instrs
 		if trunk.c.Halted {
 			// The boundary at/past this kill cycle is the HALT retirement:
 			// no failure is injected and the run trivially matches golden.
@@ -124,11 +130,17 @@ func campaign(t Target, cfg Config, goldenCycles uint64, points []killPoint,
 		} else {
 			child = trunk.forkInto(child)
 		}
-		got, err := child.finish(trunk, goldenCycles, cfg.Budget, onKill)
+		converged, err := child.finish(trunk, worlds[0].cycles, cfg.Budget, onKill)
 		if err != nil {
 			return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
 		}
-		visit(kill, got)
+		var div *Divergence
+		if !converged {
+			if div, err = diff(kill, child, worlds, inputWords); err != nil {
+				return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
+			}
+		}
+		visit(kill, div)
 	}
 	return nil
 }
@@ -145,15 +157,16 @@ func normalize(cfg *Config) {
 }
 
 // finish applies the forced failure (and onKill) to a freshly forked child
-// and resolves its outcome. It returns nil when the child provably
-// re-converges with the trunk (final memory identical to golden — clean),
-// or the child's full run result for the caller to diff.
-func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(*mem.Memory) error) (*runResult, error) {
+// and drives it to its outcome. It reports true when the child provably
+// re-converges with the trunk (final memory identical to golden — clean);
+// otherwise the child has run to halt or past the budget, for the caller
+// to diff.
+func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(*mem.Memory) error) (bool, error) {
 	dist := d.policy.ReplayDistance()
 	d.r.ForceFailure()
 	if onKill != nil {
 		if err := onKill(d.m); err != nil {
-			return nil, err
+			return false, err
 		}
 	}
 
@@ -163,16 +176,13 @@ func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(
 	if goldenCycles+dist+cpu.MaxInstrCycles <= budget {
 		target := d.cycles + dist
 		if err := d.runTo(target, budget); err != nil {
-			return nil, err
+			return false, err
 		}
 		if !d.c.Halted && d.cycles == target && d.converged(trunk) {
-			return nil, nil
+			return true, nil
 		}
 	}
-	if err := d.runTo(^uint64(0), budget); err != nil {
-		return nil, err
-	}
-	return d.result()
+	return false, d.runTo(^uint64(0), budget)
 }
 
 // converged reports whether the child's architectural state and memory

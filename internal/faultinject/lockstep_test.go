@@ -8,6 +8,7 @@ import (
 	"whatsnext/internal/asm"
 	"whatsnext/internal/compiler"
 	"whatsnext/internal/faultinject"
+	"whatsnext/internal/mem"
 	"whatsnext/internal/nn"
 	"whatsnext/internal/workloads"
 )
@@ -33,6 +34,7 @@ func TestLockstepMatchesRun(t *testing.T) {
 		{"skim_stale_reg", fromFile("skim_stale_reg.s"), faultinject.Schedule{Exhaustive: true}},
 		{"clean_accum", fromSource(cleanAccum), faultinject.Schedule{Exhaustive: true}},
 		{"clean_strided", fromSource(cleanAccum), faultinject.Schedule{Points: 13}},
+		{"sram_pointer", fromSource(sramPointer), faultinject.Schedule{Exhaustive: true}},
 		{"nn_embedded", nnConv(compiler.ModePrecise, 8, compiler.Options{ProgressEmbed: true}), faultinject.Schedule{Exhaustive: true, MaxPoints: 96}},
 		{"nn_multipass", nnConv(compiler.ModeSWP, 4, compiler.Options{}), faultinject.Schedule{Points: 8}},
 	}
@@ -52,12 +54,49 @@ func TestLockstepMatchesRun(t *testing.T) {
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("%s: lockstep report differs\n naive:    %+v\n lockstep: %+v", rt, want, got)
 				}
+				if rt == "nvp" && tc.name == "sram_pointer" && !hasDivergenceAt(got, mem.DataBase) {
+					t.Errorf("nvp: no divergence first differs at %#08x, the word only a wiped pointer writes: %+v", mem.DataBase, got)
+				}
 				if rt == "restart" && strings.HasPrefix(tc.name, "nn_") && got.Clean() != (tc.name == "nn_embedded") {
 					t.Errorf("restart: clean = %v; want only the progress-embedded build clean", got.Clean())
 				}
 			}
 		})
 	}
+}
+
+// sramPointer keeps a store's address offset in volatile SRAM across a
+// spin loop. Uninterrupted, it stores one byte to data+257 only; under NVP
+// an outage in the spin wipes the offset, so the injected run stores to
+// data+1 instead: its first differing word lies outside every byte the
+// golden run wrote, and neither written byte starts its word.
+const sramPointer = `
+	MOVI R0, #0
+	MOVTI R0, #4096
+	MOVI R1, #0
+	MOVTI R1, #8192
+	MOVI R2, #256
+	STR R2, [R1, #0]
+	MOVI R3, #20
+spin:
+	SUBIS R3, R3, #1
+	BNE spin
+	LDR R4, [R1, #0]
+	ADD R5, R0, R4
+	MOVI R6, #9
+	STRB R6, [R5, #1]
+	HALT
+`
+
+// hasDivergenceAt reports whether some divergence in rep first differs at
+// addr.
+func hasDivergenceAt(rep *faultinject.Report, addr uint32) bool {
+	for _, d := range rep.Divergences {
+		if d.Halted && d.Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 func fromFile(file string) func(t *testing.T) faultinject.Target {

@@ -39,16 +39,9 @@ func FromCompiled(name string, c *compiler.Compiled, inputs map[string][]int64) 
 	}
 }
 
-// runResult is the observable outcome of one injected run: whether it
-// halted and, if so, the final NV data region.
-type runResult struct {
-	halted bool
-	data   []byte
-}
-
 // device is one target under execution: CPU, memory, runner, policy, and
-// the pure-CPU-cycle position. The campaign's trunk is one; each kill
-// point forks it and drives the fork to its outcome.
+// the pure-CPU-cycle and instruction position. The campaign's trunk is
+// one; each kill point forks it and drives the fork to its outcome.
 type device struct {
 	cfg    Config
 	m      *mem.Memory
@@ -57,6 +50,7 @@ type device struct {
 	policy intermittent.Policy
 
 	cycles uint64 // pure CPU cycles executed (sum of Cost.Cycles)
+	instrs uint64 // instructions executed
 }
 
 // loadTarget builds fresh memory holding the target's image and inputs.
@@ -111,7 +105,7 @@ func (d *device) forkInto(spare *device) *device {
 func (d *device) forkOnto(m *mem.Memory) *device {
 	c := d.c.Fork(m)
 	r := d.r.Fork(c, m, energy.NewSupply(d.cfg.Device, energy.ConstantTrace(1, 10, 1)))
-	return &device{cfg: d.cfg, m: m, c: c, r: r, policy: r.Policy, cycles: d.cycles}
+	return &device{cfg: d.cfg, m: m, c: c, r: r, policy: r.Policy, cycles: d.cycles, instrs: d.instrs}
 }
 
 // runTo advances the device until it halts, reaches the first instruction
@@ -122,6 +116,8 @@ func (d *device) forkOnto(m *mem.Memory) *device {
 // at a time would pick, the policy advances once per window through
 // BatchWindow, and NV-data stores are routed through Step so BeforeStore
 // hooks (Clank's violation checkpoints, the undo log) retain full fidelity.
+// Stopping at stop, the device has executed exactly the instructions that
+// start before it, and instrs counts them.
 func (d *device) runTo(stop, budget uint64) error {
 	var forceStep bool
 	for !d.c.Halted {
@@ -140,6 +136,7 @@ func (d *device) runTo(stop, budget uint64) error {
 			}
 			d.policy.BatchWindow(uint64(cost.Cycles))
 			d.cycles += uint64(cost.Cycles)
+			d.instrs++
 			continue
 		}
 		win := min(horizon, stop-d.cycles)
@@ -152,22 +149,11 @@ func (d *device) runTo(stop, budget uint64) error {
 		res, err := d.c.Run(win, nil)
 		d.policy.BatchWindow(res.Cycles)
 		d.cycles += res.Cycles
+		d.instrs += res.Instructions
 		if err != nil {
 			return fmt.Errorf("at cycle %d: %w", d.cycles, err)
 		}
 		forceStep = res.Reason == cpu.StopStore
 	}
 	return nil
-}
-
-// result snapshots the observable outcome of a finished run.
-func (d *device) result() (*runResult, error) {
-	out := &runResult{halted: d.c.Halted}
-	if out.halted {
-		out.data = make([]byte, d.cfg.Mem.DataBytes)
-		if err := d.m.ReadData(mem.DataBase, out.data); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
