@@ -162,7 +162,7 @@ func realMain() int {
 		}
 	}
 	eng := sweep.New(opts)
-	proto.Engine = eng
+	proto.Runner = eng
 
 	ctx := &runCtx{w: os.Stdout, proto: proto, outDir: *outDir, samples: *samples,
 		faultPoints: *faultPoints, faultBench: *faultBench}

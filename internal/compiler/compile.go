@@ -29,10 +29,6 @@ type Options struct {
 	// markers to find the resume frontier, so restart needs no separate
 	// NVM progress state.
 	ProgressEmbed bool
-	// DisableChecks skips the post-emit static verification (and the
-	// certificate that comes with it). Only for compiler-internal tests
-	// that deliberately construct hazardous code.
-	DisableChecks bool
 }
 
 // Compiled is a fully lowered kernel: assembly text, the assembled program
@@ -45,8 +41,7 @@ type Compiled struct {
 	Program     *asm.Program
 	Layout      *Layout
 	EndLabel    string
-	// Cert is the wncheck verification certificate for the emitted image
-	// (nil when Options.DisableChecks is set).
+	// Cert is the wncheck verification certificate for the emitted image.
 	Cert *wncheck.Certificate
 }
 
@@ -137,12 +132,9 @@ func Compile(k *Kernel, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %s: assembling generated code: %w", k.Name, err)
 	}
-	var cert *wncheck.Certificate
-	if !opts.DisableChecks {
-		cert, err = verifyEmitted(k.Name, prog)
-		if err != nil {
-			return nil, err
-		}
+	cert, err := verifyEmitted(k.Name, prog)
+	if err != nil {
+		return nil, err
 	}
 	return &Compiled{
 		Kernel:      target,

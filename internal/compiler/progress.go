@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"whatsnext/internal/asm"
-	"whatsnext/internal/wncheck"
 )
 
 // Progress-embedded lowering (the Stateful-CNN idea, adapted to the WN
@@ -93,12 +92,9 @@ func compileProgress(k *Kernel, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %s: assembling generated code: %w", k.Name, err)
 	}
-	var cert *wncheck.Certificate
-	if !opts.DisableChecks {
-		cert, err = verifyEmitted(k.Name, prog)
-		if err != nil {
-			return nil, err
-		}
+	cert, err := verifyEmitted(k.Name, prog)
+	if err != nil {
+		return nil, err
 	}
 	return &Compiled{
 		Kernel:      k,

@@ -96,10 +96,6 @@ func (c *CPU) run(budget uint64, costs *[]Cost, stopStores, fuse bool) (BatchRes
 			c.buildTranslation()
 		}
 		blockAt = c.trans.blockAt
-		if len(c.sbRuns) != len(blockAt) {
-			c.sbRuns = make([]uint64, len(blockAt))
-			c.sbDirty = c.sbDirty[:0]
-		}
 	}
 
 	var (
@@ -111,7 +107,7 @@ func (c *CPU) run(budget uint64, costs *[]Cost, stopStores, fuse bool) (BatchRes
 		gateMuls   = wantCosts && c.Memo != nil
 		dataEnd    = mem.DataBase + uint32(m.Config().DataBytes)
 		// Counts accumulate in scalar locals and flush to res and c.Stats
-		// at the single exit below; OpCount updates in place.
+		// at the single exit below.
 		cycAcc, instrAcc, amenAcc uint64
 		reason                    = StopBudget
 		fault                     error
@@ -139,8 +135,8 @@ loop:
 			// Execute the block — and when it is a self-loop (its terminator
 			// branches back to its own head), keep iterating without
 			// repeating the slot lookup and entry gates. Completed
-			// executions accumulate in a local counter and flush into the
-			// deferred per-slot tally.
+			// executions accumulate in a local counter and are counted
+			// once the dispatch ends.
 			runs := uint64(0)
 			faultIdx := -1
 			for {
@@ -176,12 +172,9 @@ loop:
 					break
 				}
 			}
-			if runs > 0 {
-				if c.sbRuns[slot] == 0 {
-					c.sbDirty = append(c.sbDirty, slot)
-				}
-				c.sbRuns[slot] += runs
-			}
+			instrAcc += runs * tb.instrs
+			amenAcc += runs * tb.amen
+			c.sbInstrs += runs * tb.instrs
 			if faultIdx >= 0 {
 				// A body memory access faulted at index faultIdx. Account the
 				// executed prefix from the decode cache, plus the faulting
@@ -194,7 +187,6 @@ loop:
 						amenAcc++
 					}
 					if i < faultIdx {
-						c.Stats.OpCount[d.in.Op]++
 						cycAcc += uint64(d.cycles)
 					}
 				}
@@ -265,7 +257,6 @@ loop:
 		regs[isa.PC] = nextPC
 		pc = nextPC
 
-		c.Stats.OpCount[op]++
 		cycAcc += uint64(cycles)
 		instrAcc++
 		if wantCosts {
@@ -280,34 +271,11 @@ loop:
 		}
 	}
 
-	var fusedInstrs, fusedAmen uint64
-	if len(c.sbDirty) > 0 {
-		fusedInstrs, fusedAmen = c.flushSuperCounts()
-		c.sbInstrs += fusedInstrs
-	}
 	res.Cycles = cycAcc
-	res.Instructions = instrAcc + fusedInstrs
+	res.Instructions = instrAcc
 	res.Reason = reason
 	c.Stats.Cycles += cycAcc
-	c.Stats.Instructions += res.Instructions
-	c.Stats.AmenableOps += amenAcc + fusedAmen
+	c.Stats.Instructions += instrAcc
+	c.Stats.AmenableOps += amenAcc
 	return res, fault
-}
-
-// flushSuperCounts applies the deferred per-block run tallies to
-// Stats.OpCount and returns the corresponding instruction and amenable
-// counts, clearing the tallies for the next window.
-func (c *CPU) flushSuperCounts() (instrs, amen uint64) {
-	for _, slot := range c.sbDirty {
-		tb := c.trans.blockAt[slot]
-		runs := c.sbRuns[slot]
-		c.sbRuns[slot] = 0
-		for _, oc := range tb.opCounts {
-			c.Stats.OpCount[oc.op] += oc.n * runs
-		}
-		instrs += tb.instrs * runs
-		amen += tb.amen * runs
-	}
-	c.sbDirty = c.sbDirty[:0]
-	return instrs, amen
 }

@@ -10,12 +10,11 @@ import (
 // Snapshot is the volatile architectural state captured by a checkpoint: the
 // register file (including PC) and the condition flags.
 type Snapshot struct {
-	Regs  [isa.NumRegs]uint32
-	N     bool
-	Z     bool
-	C     bool
-	V     bool
-	Valid bool
+	Regs [isa.NumRegs]uint32
+	N    bool
+	Z    bool
+	C    bool
+	V    bool
 }
 
 // Cost reports what one executed instruction consumed.
@@ -28,7 +27,6 @@ type Cost struct {
 type Stats struct {
 	Instructions uint64
 	Cycles       uint64
-	OpCount      [isa.NumOpcodes]uint64
 	AmenableOps  uint64 // dynamic instructions at WN-amenable PCs
 }
 
@@ -75,13 +73,6 @@ type CPU struct {
 	trans       *translation  // lazily built superblock translation
 	sbErr       error         // fault raised inside a slot closure
 	sbAdj       uint64        // memo fast-hit cycle discount; zero between instructions
-	// Deferred superblock accounting: sbRuns[slot] counts completed
-	// executions of the block starting at slot within the current window;
-	// sbDirty lists the touched slots. Both flush into Stats at every
-	// window exit, so per-block bookkeeping inside the hot loop is O(1).
-	// Per-CPU (not on the shared translation) so forked cores never race.
-	sbRuns  []uint64
-	sbDirty []uint32
 	// sbInstrs counts the instructions Run has retired through fused
 	// blocks, so tests can check how much of a run the superblocks carry.
 	sbInstrs uint64
@@ -128,7 +119,7 @@ func (c *CPU) DisarmSkim() {
 
 // Snapshot captures the volatile architectural state for a checkpoint.
 func (c *CPU) Snapshot() Snapshot {
-	return Snapshot{Regs: c.Regs, N: c.N, Z: c.Z, C: c.C, V: c.V, Valid: true}
+	return Snapshot{Regs: c.Regs, N: c.N, Z: c.Z, C: c.C, V: c.V}
 }
 
 // Restore reinstates checkpointed state.

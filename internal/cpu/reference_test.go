@@ -43,7 +43,6 @@ func (c *CPU) refStep() (Cost, error) {
 	}
 	c.Stats.Instructions++
 	c.Stats.Cycles += uint64(cycles)
-	c.Stats.OpCount[in.Op]++
 	return cost, nil
 }
 

@@ -18,18 +18,11 @@ type translation struct {
 	blockAt []*transBlock
 }
 
-// opCount is one (opcode, occurrences) pair of a superblock, applied to
-// Stats.OpCount in O(distinct ops) instead of O(instructions) per execution.
-type opCount struct {
-	op isa.Opcode
-	n  uint64
-}
-
 // transBlock is one fused superblock: the straight-line body as an array of
 // closures executed with zero dispatch, plus the block's terminator inlined
 // when it is a direct/conditional branch, BL, or BX (through a non-PC
-// register). All aggregate accounting (cycles, amenable hits, op counts) is
-// precomputed so a full-block execution updates Stats in O(1).
+// register). All aggregate accounting (cycles, instructions, amenable hits)
+// is precomputed so a full-block execution updates Stats in O(1).
 type transBlock struct {
 	startPC uint32 // address of the first body instruction
 	endPC   uint32 // one past the last body instruction; terminator address if fused
@@ -48,7 +41,6 @@ type transBlock struct {
 	// writes); the gates enforce it.
 	costs []Cost
 
-	opCounts []opCount
 	hasStore bool
 	hasMul   bool
 }
@@ -87,7 +79,6 @@ func (c *CPU) buildTranslation() {
 // exit, so a mid-block PC operand would observe a stale value.
 func buildBlock(cache []decoded, start, end int) *transBlock {
 	tb := &transBlock{startPC: mem.CodeBase + uint32(start*isa.InstBytes)}
-	var counts [isa.NumOpcodes]uint64
 	i := start
 	for ; i < end; i++ {
 		d := &cache[i]
@@ -106,7 +97,6 @@ func buildBlock(cache []decoded, start, end int) *transBlock {
 		if d.in.Op.IsMul() {
 			tb.hasMul = true
 		}
-		counts[d.in.Op]++
 	}
 	tb.endPC = mem.CodeBase + uint32(i*isa.InstBytes)
 	tb.instrs = uint64(len(tb.fns))
@@ -121,16 +111,10 @@ func buildBlock(cache []decoded, start, end int) *transBlock {
 			if d.amen {
 				tb.amen++
 			}
-			counts[d.in.Op]++
 		}
 	}
 	if tb.instrs == 0 {
 		return nil
-	}
-	for op, n := range counts {
-		if n > 0 {
-			tb.opCounts = append(tb.opCounts, opCount{op: isa.Opcode(op), n: n})
-		}
 	}
 	return tb
 }

@@ -218,7 +218,10 @@ func TestRunSuperStoreHook(t *testing.T) {
 // TestRunSuperFaultParity checks fault identity against the reference for
 // both single-slot faults (undecodable slot, fall-off-end) and faults raised
 // inside a fused superblock body, where the partial-fault exit must account
-// the executed prefix exactly as single slots would.
+// the executed prefix exactly as single slots would. Every slot is marked
+// amenable so the amenable tally is checked too, and each program runs
+// both with and without a cost log, which gates store blocks off the fused
+// path.
 func TestRunSuperFaultParity(t *testing.T) {
 	progs := map[string]string{
 		"unmapped-load": `
@@ -243,20 +246,51 @@ func TestRunSuperFaultParity(t *testing.T) {
 			SUBIS R1, R1, #1
 			HALT
 		`,
+		// A self-looping block whose load walks 4 KB per pass off the end
+		// of SRAM: four passes complete inside one dispatch and the fifth
+		// faults mid-body, so the completed runs and the partial prefix
+		// are counted at the same exit.
+		"self-loop-later-pass-fault": `
+			MOVI R0, #0
+			MOVTI R0, #0x2000
+			MOVI R3, #0x1000
+		loop:
+			ADD R2, R2, R3
+			LDR R1, [R0, #0]
+			ADD R0, R0, R3
+			B loop
+		`,
+	}
+	var marks []uint32
+	for pc := uint32(mem.CodeBase); pc < mem.CodeBase+16*isa.InstBytes; pc += isa.InstBytes {
+		marks = append(marks, pc)
 	}
 	for name, src := range progs {
 		t.Run(name, func(t *testing.T) {
-			ref, refM := device(t, src)
-			sup, supM := device(t, src)
-			_, _, refErr := stepRef(t, ref)
-			_, _, supErr := runSuperWindows(t, sup, 1<<62)
-			if refErr == nil || supErr == nil {
-				t.Fatalf("expected faults, got ref %v sup %v", refErr, supErr)
+			for _, logCosts := range []bool{false, true} {
+				t.Run(fmt.Sprintf("costs=%v", logCosts), func(t *testing.T) {
+					ref, refM := device(t, src)
+					sup, supM := device(t, src)
+					ref.SetAmenablePCs(marks)
+					sup.SetAmenablePCs(marks)
+					_, _, refErr := stepRef(t, ref)
+					var costs *[]Cost
+					if logCosts {
+						costs = new([]Cost)
+					}
+					res, supErr := sup.Run(1<<62, costs)
+					if refErr == nil || supErr == nil || res.Reason != StopFault {
+						t.Fatalf("expected faults, got ref %v sup %v (reason %v)", refErr, supErr, res.Reason)
+					}
+					if refErr.Error() != supErr.Error() {
+						t.Errorf("fault messages diverge:\nref %v\nsup %v", refErr, supErr)
+					}
+					if res.Instructions != ref.Stats.Instructions {
+						t.Errorf("window instructions = %d, reference retired %d", res.Instructions, ref.Stats.Instructions)
+					}
+					assertSameState(t, ref, sup, refM, supM)
+				})
 			}
-			if refErr.Error() != supErr.Error() {
-				t.Errorf("fault messages diverge:\nref %v\nsup %v", refErr, supErr)
-			}
-			assertSameState(t, ref, sup, refM, supM)
 		})
 	}
 }

@@ -79,9 +79,8 @@ func TestBatchedContinuousMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(refCPU.Stats, cp.Stats) {
 					t.Errorf("%s: stats diverge:\nreference %+v\ngot       %+v", e.name, refCPU.Stats, cp.Stats)
 				}
-				if refMem.NVWrites != m.NVWrites || refMem.Reads != m.Reads || refMem.Writes != m.Writes {
-					t.Errorf("%s: memory counters diverge: reference (%d %d %d), got (%d %d %d)",
-						e.name, refMem.Reads, refMem.Writes, refMem.NVWrites, m.Reads, m.Writes, m.NVWrites)
+				if refMem.NVWrites != m.NVWrites {
+					t.Errorf("%s: NV writes diverge: reference %d, got %d", e.name, refMem.NVWrites, m.NVWrites)
 				}
 				for i := range refData {
 					if refData[i] != data[i] {

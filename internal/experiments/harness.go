@@ -29,16 +29,12 @@ type Protocol struct {
 	Invocations int  // input seeds per trace
 	PaperScale  bool // paper-size inputs instead of scaled ones
 
-	// Engine, when non-nil, runs each study's independent simulation cells
-	// through the given sweep engine (worker pool + result cache). Nil
-	// selects a serial, uncached engine whose output is the reference: any
-	// parallel engine reproduces it byte for byte.
-	Engine *sweep.Engine
-
-	// Runner, when non-nil, overrides Engine with an arbitrary job runner,
-	// e.g. one that wraps an engine to observe each study's jobs. The
-	// determinism contract still holds: a runner must return each job's
-	// encoded result in submission order.
+	// Runner, when non-nil, runs each study's independent simulation cells,
+	// typically through a *sweep.Engine (worker pool + result cache) or a
+	// wrapper that observes each study's jobs. Nil selects a serial,
+	// uncached engine whose output is the reference: a runner must return
+	// each job's encoded result in submission order, so any parallel
+	// engine reproduces it byte for byte.
 	Runner sweep.Runner
 }
 

@@ -15,14 +15,11 @@ import (
 // its own variants and builds its own device, so cells share no mutable
 // state and the engine may run them on any number of workers.
 
-// runner returns the protocol's job runner: an explicit Runner wins, then
-// the configured engine, then a serial uncached engine.
+// runner returns the protocol's job runner: Runner when set, else a serial
+// uncached engine.
 func (p Protocol) runner() sweep.Runner {
 	if p.Runner != nil {
 		return p.Runner
-	}
-	if p.Engine != nil {
-		return p.Engine
 	}
 	return sweep.Serial()
 }

@@ -64,7 +64,7 @@ func TestNNStudyParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto.Engine = sweep.New(sweep.Options{Workers: 8})
+	proto.Runner = sweep.New(sweep.Options{Workers: 8})
 	parallel, err := NNStudy(proto)
 	if err != nil {
 		t.Fatal(err)

@@ -35,12 +35,14 @@ import (
 	"fmt"
 
 	"whatsnext/internal/cpu"
-	"whatsnext/internal/energy"
 	"whatsnext/internal/intermittent"
 	"whatsnext/internal/mem"
 )
 
-// Config selects the runtime model and device under test.
+// Config selects the runtime model and memory geometry under test. The
+// energy device is always energy.DefaultDeviceConfig(): policies consult
+// only its NV-write energy figure, and the injector kills power explicitly
+// rather than through the harvesting model.
 type Config struct {
 	// Policy builds a fresh intermittent runtime per run (each run needs
 	// its own checkpoint state). Required.
@@ -48,11 +50,6 @@ type Config struct {
 	// Mem overrides the memory geometry; the zero value means
 	// mem.DefaultConfig().
 	Mem mem.Config
-	// Device overrides the energy device; the zero value means
-	// energy.DefaultDeviceConfig(). Only the NV-write energy figure is
-	// consulted — the injector kills power explicitly rather than through
-	// the harvesting model.
-	Device energy.DeviceConfig
 	// Budget bounds the active cycles of any single run; zero derives
 	// 4x the golden run plus slack. An injected run that exceeds it has
 	// lost forward progress, which counts as a divergence.

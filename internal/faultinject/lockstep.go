@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"whatsnext/internal/cpu"
-	"whatsnext/internal/energy"
 	"whatsnext/internal/mem"
 )
 
@@ -145,14 +144,10 @@ func campaign(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 	return nil
 }
 
-// normalize fills the Config defaults: the default memory geometry and
-// energy device.
+// normalize fills the Config default: the default memory geometry.
 func normalize(cfg *Config) {
 	if cfg.Mem == (mem.Config{}) {
 		cfg.Mem = mem.DefaultConfig()
-	}
-	if cfg.Device == (energy.DeviceConfig{}) {
-		cfg.Device = energy.DefaultDeviceConfig()
 	}
 }
 

@@ -67,10 +67,15 @@ func loadTarget(t Target, cfg Config) (*mem.Memory, error) {
 	return m, nil
 }
 
-// newDevice builds a fresh device for the target. The supply exists only
-// because policies charge NV-write energy through it; the injector itself
-// is the sole source of failures, so a token always-on trace suffices and
-// every divergence is attributable to the kill point.
+// newSupply is a device's energy supply. It exists only because policies
+// charge NV-write energy through it; the injector itself is the sole source
+// of failures, so a token always-on trace suffices and every divergence is
+// attributable to the kill point.
+func newSupply() *energy.Supply {
+	return energy.NewSupply(energy.DefaultDeviceConfig(), energy.ConstantTrace(1, 10, 1))
+}
+
+// newDevice builds a fresh device for the target.
 func newDevice(t Target, cfg Config) (*device, error) {
 	m, err := loadTarget(t, cfg)
 	if err != nil {
@@ -78,9 +83,8 @@ func newDevice(t Target, cfg Config) (*device, error) {
 	}
 	c := cpu.New(m)
 	c.SetAmenablePCs(t.Amenable)
-	supply := energy.NewSupply(cfg.Device, energy.ConstantTrace(1, 10, 1))
 	policy := cfg.Policy()
-	return &device{cfg: cfg, m: m, c: c, r: intermittent.NewRunner(c, m, supply, policy), policy: policy}, nil
+	return &device{cfg: cfg, m: m, c: c, r: intermittent.NewRunner(c, m, newSupply(), policy), policy: policy}, nil
 }
 
 // forkInto rebuilds a previously used fork on top of the trunk's current
@@ -104,7 +108,7 @@ func (d *device) forkInto(spare *device) *device {
 // Policy.Fork.
 func (d *device) forkOnto(m *mem.Memory) *device {
 	c := d.c.Fork(m)
-	r := d.r.Fork(c, m, energy.NewSupply(d.cfg.Device, energy.ConstantTrace(1, 10, 1)))
+	r := d.r.Fork(c, m, newSupply())
 	return &device{cfg: d.cfg, m: m, c: c, r: r, policy: r.Policy, cycles: d.cycles, instrs: d.instrs}
 }
 

@@ -44,10 +44,9 @@ type Clank struct {
 	pendingOverheadC uint32
 	pendingOverheadE float64
 
-	NumCheckpoints         uint64
-	ViolationCheckpoints   uint64
-	WatchdogCheckpoints    uint64
-	ReexecutedInstructions uint64 // instructions discarded by outages (diagnostic)
+	NumCheckpoints       uint64
+	ViolationCheckpoints uint64
+	WatchdogCheckpoints  uint64
 }
 
 // NewClank builds the policy with the given configuration.

