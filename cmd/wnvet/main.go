@@ -36,8 +36,8 @@ import (
 	"strings"
 )
 
-// defaultDirs are the packages whose determinism the caches and the remote
-// protocol depend on.
+// defaultDirs are the packages whose determinism the result cache depends
+// on.
 var defaultDirs = []string{"internal/sweep", "internal/experiments", "internal/wncheck"}
 
 func main() {

@@ -381,29 +381,19 @@ func runMemoPoint(b *workloads.Benchmark, p workloads.Params, n int) (memoCell, 
 	if err != nil {
 		return memoCell{}, err
 	}
-	cp, _, err := bareDevice(c, in, false)
+	var memo *cpu.MemoTable
+	if n > 0 {
+		memo = cpu.NewSizedMemoTable(n)
+	}
+	// The run stops right after the first SKM, where the earliest output is
+	// committed.
+	res, _, err := runContinuous(c, in, contOptions{memo: memo, stopAtSkim: true})
 	if err != nil {
 		return memoCell{}, err
 	}
-	if n > 0 {
-		cp.Memo = cpu.NewSizedMemoTable(n)
-	}
-	// Run returns StopSkim right after the first SKM, where the earliest
-	// output is committed.
-	var cycles uint64
-	for !cp.Halted {
-		res, err := cp.Run(1<<62, nil)
-		if err != nil {
-			return memoCell{}, err
-		}
-		cycles += res.Cycles
-		if res.Reason == cpu.StopSkim {
-			break
-		}
-	}
-	cell := memoCell{Cycles: cycles}
-	if cp.Memo != nil {
-		cell.Hits, cell.Misses, cell.ZeroSkips = cp.Memo.Hits, cp.Memo.Misses, cp.Memo.ZeroSkips
+	cell := memoCell{Cycles: res.Cycles}
+	if memo != nil {
+		cell.Hits, cell.Misses, cell.ZeroSkips = memo.Hits, memo.Misses, memo.ZeroSkips
 	}
 	return cell, nil
 }

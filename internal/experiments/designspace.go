@@ -191,26 +191,19 @@ func runFig13Cell(b *workloads.Benchmark, p workloads.Params, v Variant, memo bo
 	if err != nil {
 		return fig13Cell{}, err
 	}
-	cp, _, err := bareDevice(c, in, memo)
+	var table *cpu.MemoTable
+	if memo {
+		table = cpu.NewMemoTable()
+	}
+	// The anytime build stops right after its first SKM, where its earliest
+	// output is committed.
+	res, _, err := runContinuous(c, in, contOptions{memo: table, stopAtSkim: v.Mode == compiler.ModeSWP})
 	if err != nil {
 		return fig13Cell{}, err
 	}
-	// Run returns StopSkim right after every SKM; the anytime build stops
-	// at the first one, where its earliest output is committed.
-	var cycles uint64
-	for !cp.Halted {
-		res, err := cp.Run(1<<62, nil)
-		if err != nil {
-			return fig13Cell{}, err
-		}
-		cycles += res.Cycles
-		if v.Mode == compiler.ModeSWP && res.Reason == cpu.StopSkim {
-			break
-		}
-	}
-	cell := fig13Cell{Cycles: cycles}
+	cell := fig13Cell{Cycles: res.Cycles}
 	if memo {
-		cell.Hits, cell.Misses, cell.ZeroSkips = cp.Memo.Hits, cp.Memo.Misses, cp.Memo.ZeroSkips
+		cell.Hits, cell.Misses, cell.ZeroSkips = table.Hits, table.Misses, table.ZeroSkips
 	}
 	return cell, nil
 }

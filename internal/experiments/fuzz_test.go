@@ -6,18 +6,24 @@ import (
 	"testing"
 
 	"whatsnext/internal/core"
-	"whatsnext/internal/nn"
 	"whatsnext/internal/sweep"
 	"whatsnext/internal/workloads"
 )
 
 // FuzzResolveSpecs: ResolveSpecs returns an error, never panics, on any
-// batch of specs decoded from JSON, and a batch it accepts resolves to one
-// job per spec carrying that spec. No job is run. Seeds are the marshalled
-// specs of every study that enumerates specs: table1, speedup and nn.
+// batch of specs decoded from JSON, and a batch it accepts decodes to one
+// job per spec carrying that spec. No job is run. Seeds are speedup
+// batches: one per kernel on every processor at both widths, the study's
+// own Figure 10 batch, and four batches whose last spec is rejected.
 func FuzzResolveSpecs(f *testing.F) {
 	proto := DefaultProtocol()
-	seeds := [][]sweep.Spec{Table1Specs(proto)}
+	var fig10 []sweep.Spec
+	for _, b := range workloads.All() {
+		for _, bits := range []int{8, 4} {
+			fig10 = append(fig10, speedupSpecs(core.ProcClank, b, proto.params(b), bits, proto)...)
+		}
+	}
+	seeds := [][]sweep.Spec{fig10}
 	for _, b := range workloads.All() {
 		p := proto.params(b)
 		var batch []sweep.Spec
@@ -28,13 +34,16 @@ func FuzzResolveSpecs(f *testing.F) {
 		}
 		seeds = append(seeds, batch)
 	}
-	for _, b := range nn.All() {
-		p := proto.params(b)
-		var batch []sweep.Spec
-		for _, bits := range nnBits(b) {
-			batch = append(batch, nnSpec(b, p, bits, 1))
-		}
-		seeds = append(seeds, batch)
+	good := fig10[0]
+	for _, mut := range []func(s *sweep.Spec){
+		func(s *sweep.Spec) { s.Experiment = "nn" },
+		func(s *sweep.Spec) { s.Params = map[string]string{"workload": s.Params["workload"], "bits": "0"} },
+		func(s *sweep.Spec) { s.Params = map[string]string{"workload": "{", "bits": "4"} },
+		func(s *sweep.Spec) { s.Variant = s.Kernel + "/precise" },
+	} {
+		bad := good
+		mut(&bad)
+		seeds = append(seeds, []sweep.Spec{good, bad})
 	}
 	for _, specs := range seeds {
 		data, err := json.Marshal(specs)

@@ -145,34 +145,12 @@ func (v Variant) String() string {
 	return s
 }
 
-// bareDevice builds a CPU+memory with the program and inputs installed,
-// without a power supply — for continuous-power runs driven cycle by cycle.
-func bareDevice(c *compiler.Compiled, inputs map[string][]int64, memo bool) (*cpu.CPU, *mem.Memory, error) {
-	return bareDeviceOn(mem.New(mem.DefaultConfig()), c, inputs, memo)
-}
-
-// bareDeviceOn installs the program and inputs on an existing (wiped)
-// memory, letting serial harnesses reuse one region set across programs.
-func bareDeviceOn(m *mem.Memory, c *compiler.Compiled, inputs map[string][]int64, memo bool) (*cpu.CPU, *mem.Memory, error) {
-	if err := m.LoadProgram(c.Program.Image); err != nil {
-		return nil, nil, err
-	}
-	if err := c.InstallData(m, inputs); err != nil {
-		return nil, nil, err
-	}
-	cp := cpu.New(m)
-	if memo {
-		cp.Memo = cpu.NewMemoTable()
-	}
-	return cp, m, nil
-}
-
 // contOptions controls a continuous (always-powered) run.
 type contOptions struct {
-	memo        bool
-	stopAtSkim  bool   // stop when the first skim point arms
-	cycleBudget uint64 // stop after this many cycles (0 = none)
-	sampleEvery uint64 // invoke sample() at this cycle period (0 = never)
+	memo        *cpu.MemoTable // the run's memo table (nil = none)
+	stopAtSkim  bool           // stop when the first skim point arms
+	cycleBudget uint64         // stop after this many cycles (0 = none)
+	sampleEvery uint64         // invoke sample() at this cycle period (0 = never)
 	sample      func(cycles uint64, m *mem.Memory)
 }
 
@@ -180,8 +158,7 @@ type contOptions struct {
 type contResult struct {
 	Cycles       uint64
 	Instructions uint64
-	Halted       bool
-	SkimArmed    bool
+	AmenableOps  uint64 // dynamic instructions at the compiler's amenable PCs
 }
 
 // runContinuous executes the program under uninterrupted power through the
@@ -191,11 +168,17 @@ type contResult struct {
 // and budget stops land on exactly the instruction boundaries stepping one
 // instruction at a time would produce.
 func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOptions) (contResult, *mem.Memory, error) {
-	cp, m, err := bareDevice(c, inputs, opt.memo)
-	if err != nil {
+	m := mem.New(mem.DefaultConfig())
+	if err := m.LoadProgram(c.Program.Image); err != nil {
 		return contResult{}, nil, err
 	}
-	var cycles, instrs uint64
+	if err := c.InstallData(m, inputs); err != nil {
+		return contResult{}, nil, err
+	}
+	cp := cpu.New(m)
+	cp.SetAmenablePCs(c.Program.Amenable)
+	cp.Memo = opt.memo
+	var cycles uint64
 	nextSample := opt.sampleEvery
 	for !cp.Halted {
 		budget := uint64(1) << 62
@@ -210,7 +193,6 @@ func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOpti
 			return contResult{}, nil, fmt.Errorf("experiments: %s fault: %w", c.Kernel.Name, err)
 		}
 		cycles += res.Cycles
-		instrs += res.Instructions
 		if opt.sampleEvery != 0 && cycles >= nextSample {
 			opt.sample(cycles, m)
 			nextSample += opt.sampleEvery
@@ -222,7 +204,7 @@ func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOpti
 			break
 		}
 	}
-	return contResult{Cycles: cycles, Instructions: instrs, Halted: cp.Halted, SkimArmed: cp.SkimArmed}, m, nil
+	return contResult{Cycles: cycles, Instructions: cp.Stats.Instructions, AmenableOps: cp.Stats.AmenableOps}, m, nil
 }
 
 // outputNRMSE scores the current output of a memory against golden values.

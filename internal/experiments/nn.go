@@ -75,8 +75,8 @@ func nnMetricShape(b *workloads.Benchmark, p workloads.Params) (classes, tile in
 
 // NNStudy sweeps the NN layer kernels across subword widths under
 // continuous power, reporting runtime against accuracy. Every cell is an
-// independent job routed through the spec resolver, so the study runs
-// identically on the serial engine or a parallel one.
+// independent job, so the study runs identically on the serial engine or a
+// parallel one.
 func NNStudy(proto Protocol) ([]NNRow, error) {
 	type group struct {
 		b    *workloads.Benchmark
@@ -88,10 +88,7 @@ func NNStudy(proto Protocol) ([]NNRow, error) {
 	for _, b := range nn.All() {
 		p := proto.params(b)
 		for _, bits := range nnBits(b) {
-			gj, err := nnJobs(b, p, bits, proto)
-			if err != nil {
-				return nil, err
-			}
+			gj := nnJobs(b, p, bits, proto)
 			groups = append(groups, group{b, bits, len(gj)})
 			jobs = append(jobs, gj...)
 		}
@@ -109,30 +106,24 @@ func NNStudy(proto Protocol) ([]NNRow, error) {
 	return rows, nil
 }
 
-// nnSpec names one (build, input seed) cell for the resolver registry.
-func nnSpec(b *workloads.Benchmark, p workloads.Params, bits int, inputSeed int64) sweep.Spec {
-	return sweep.Spec{
-		Experiment: "nn",
-		Kernel:     b.Name,
-		Variant:    NNVariant(b, p, bits).String(),
-		InputSeed:  inputSeed,
-		Params:     specParams(p, "bits", itoa(bits)),
-	}
-}
-
-// nnJobs enumerates one row's cells through ResolveSpec, one per input
-// seed (the study runs under continuous power, so harvest traces do not
-// apply).
-func nnJobs(b *workloads.Benchmark, p workloads.Params, bits int, proto Protocol) ([]sweep.Job, error) {
+// nnJobs builds one row's cells, one per input seed (the study runs under
+// continuous power, so harvest traces do not apply).
+func nnJobs(b *workloads.Benchmark, p workloads.Params, bits int, proto Protocol) []sweep.Job {
 	var jobs []sweep.Job
 	for inv := 0; inv < proto.Invocations; inv++ {
-		j, err := ResolveSpec(nnSpec(b, p, bits, int64(1+inv)))
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, j)
+		inputSeed := int64(1 + inv)
+		jobs = append(jobs, sweep.Job{
+			Spec: sweep.Spec{
+				Experiment: "nn",
+				Kernel:     b.Name,
+				Variant:    NNVariant(b, p, bits).String(),
+				InputSeed:  inputSeed,
+				Params:     specParams(p, "bits", itoa(bits)),
+			},
+			Run: func() (any, error) { return runNNCell(b, p, bits, inputSeed) },
+		})
 	}
-	return jobs, nil
+	return jobs
 }
 
 // runNNCell measures one build on one input: runtime to completion under
@@ -180,33 +171,6 @@ func nnRow(b *workloads.Benchmark, p workloads.Params, bits int, cells []nnCell)
 		TileMatch: quality.Median(tm),
 		Samples:   len(cells),
 	}
-}
-
-// resolveNN rebuilds an NN cell from its spec (the "nn" registry entry).
-func resolveNN(s sweep.Spec, _ *preciseTable) (func() (any, error), error) {
-	b, err := workloads.ByName(s.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	p, err := specWorkload(s)
-	if err != nil {
-		return nil, err
-	}
-	bits, err := specInt(s, "bits")
-	if err != nil {
-		return nil, err
-	}
-	if bits < 0 || bits > 8 {
-		return nil, fmt.Errorf("bits %d out of range [0,8]", bits)
-	}
-	if bits != 0 && b.Mode == compiler.ModePrecise {
-		return nil, fmt.Errorf("kernel %s lowers precisely only (bits must be 0)", b.Name)
-	}
-	if err := checkVariant(s, NNVariant(b, p, bits).String()); err != nil {
-		return nil, err
-	}
-	inputSeed := s.InputSeed
-	return func() (any, error) { return runNNCell(b, p, bits, inputSeed) }, nil
 }
 
 // PrintNN renders the accuracy-vs-energy table.

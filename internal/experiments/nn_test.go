@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"whatsnext/internal/compiler"
@@ -71,73 +70,5 @@ func TestNNStudyParallelDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial and 8-worker rows differ:\n%+v\nvs\n%+v", serial, parallel)
-	}
-}
-
-// TestResolveNNRoundTrip: a resolved nn spec reruns the exact cell the
-// study enumerated, deterministically.
-func TestResolveNNRoundTrip(t *testing.T) {
-	b := nn.NNConv()
-	p := DefaultProtocol().params(b)
-	spec := nnSpec(b, p, 4, 1)
-	j, err := ResolveSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := sweep.Serial().Run([]sweep.Job{j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := sweep.Results[nnCell](r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := runNNCell(b, p, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cells[0] != direct {
-		t.Fatalf("resolved cell %+v != direct cell %+v", cells[0], direct)
-	}
-}
-
-// TestResolveNNErrors: malformed nn specs are rejected with messages that
-// name the problem.
-func TestResolveNNErrors(t *testing.T) {
-	conv := nn.NNConv()
-	p := DefaultProtocol().params(conv)
-	good := nnSpec(conv, p, 4, 1)
-	cases := []struct {
-		name string
-		mut  func(s sweep.Spec) sweep.Spec
-		want string
-	}{
-		{"unknown kernel", func(s sweep.Spec) sweep.Spec { s.Kernel = "NNBogus"; return s }, "unknown benchmark"},
-		{"bits out of range", func(s sweep.Spec) sweep.Spec {
-			s.Params = map[string]string{"workload": s.Params["workload"], "bits": "-1"}
-			s.Variant = ""
-			return s
-		}, "out of range"},
-		{"variant mismatch", func(s sweep.Spec) sweep.Spec { s.Variant = "NNConv/swp8"; return s }, "does not match"},
-		{"missing bits", func(s sweep.Spec) sweep.Spec {
-			s.Params = map[string]string{"workload": s.Params["workload"]}
-			return s
-		}, `missing "bits"`},
-	}
-	for _, tc := range cases {
-		_, err := ResolveSpec(tc.mut(good))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
-		}
-	}
-
-	// Max pooling has no subword decomposition: nonzero bits are rejected.
-	pool := nn.NNPoolMax()
-	pp := DefaultProtocol().params(pool)
-	bad := nnSpec(pool, pp, 0, 1)
-	bad.Params["bits"] = "4"
-	bad.Variant = ""
-	if _, err := ResolveSpec(bad); err == nil || !strings.Contains(err.Error(), "precisely only") {
-		t.Errorf("nonzero bits for NNPoolMax: err = %v, want precise-only rejection", err)
 	}
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 
 	"whatsnext/internal/core"
@@ -41,28 +43,27 @@ func (c speedupCell) SimulatedCycles() uint64 { return c.WNCycles + c.PreciseCyc
 // completion. Speedup compares wall-clock completion times per input.
 //
 // Every (benchmark, bits, trace, invocation) cell is an independent job;
-// the whole study, both bit widths, is resolved and submitted to the sweep
-// engine as one batch, so all cells run concurrently and the 8- and 4-bit
-// cells of a (benchmark, trace, invocation) share one precise baseline.
+// the whole study, both bit widths, is submitted to the sweep engine as one
+// batch, so all cells run concurrently and the 8- and 4-bit cells of a
+// (benchmark, trace, invocation) share one precise baseline.
 func SpeedupStudy(proc core.Processor, proto Protocol) ([]SpeedupRow, error) {
 	type group struct {
 		b    *workloads.Benchmark
 		bits int
 		n    int
 	}
-	var specs []sweep.Spec
+	base := &preciseTable{}
+	var jobs []sweep.Job
 	var groups []group
 	for _, b := range workloads.All() {
 		p := proto.params(b)
 		for _, bits := range []int{8, 4} {
-			gs := speedupSpecs(proc, b, p, bits, proto)
-			groups = append(groups, group{b, bits, len(gs)})
-			specs = append(specs, gs...)
+			specs := speedupSpecs(proc, b, p, bits, proto)
+			for _, s := range specs {
+				jobs = append(jobs, speedupJob(base, s, proc, b, p, bits))
+			}
+			groups = append(groups, group{b, bits, len(specs)})
 		}
-	}
-	jobs, err := ResolveSpecs(specs)
-	if err != nil {
-		return nil, err
 	}
 	cells, err := runSweep[speedupCell](proto.runner(), jobs)
 	if err != nil {
@@ -77,8 +78,8 @@ func SpeedupStudy(proc core.Processor, proto Protocol) ([]SpeedupRow, error) {
 	return rows, nil
 }
 
-// speedupSpec names one (trace, invocation) cell. Every knob the cell
-// depends on is a spec field or param, so ResolveSpec can rebuild it.
+// speedupSpec names one (trace, invocation) cell: every knob the cell
+// depends on is a spec field or param.
 func speedupSpec(proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int, traceSeed, inputSeed int64) sweep.Spec {
 	return sweep.Spec{
 		Experiment: "speedup",
@@ -104,6 +105,81 @@ func speedupSpecs(proc core.Processor, b *workloads.Benchmark, p workloads.Param
 	return specs
 }
 
+// speedupJob is the job of one speedup cell: s names the cell, and the
+// typed values it was built from run it. The cell takes its precise
+// baseline from base, which the jobs of one batch share.
+func speedupJob(base *preciseTable, s sweep.Spec, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) sweep.Job {
+	key := baselineKey(s)
+	return sweep.Job{Spec: s, Run: func() (any, error) {
+		return runSpeedupCell(base, key, proc, b, p, bits)
+	}}
+}
+
+// ResolveSpecs decodes a batch of hand-built speedup specs into the jobs
+// SpeedupStudy would build for them, naming the index of the first bad
+// spec. It exists only for bench/wnperf, whose paper-scale Figure 10/11
+// round writes its cells as specs; every study builds its jobs directly.
+// Each job carries its spec unchanged. The batch's jobs share one table of
+// precise baselines, so another call simulates its baselines afresh.
+func ResolveSpecs(specs []sweep.Spec) ([]sweep.Job, error) {
+	base := &preciseTable{}
+	jobs := make([]sweep.Job, len(specs))
+	for i, s := range specs {
+		j, err := decodeSpeedupSpec(base, s)
+		if err != nil {
+			return nil, fmt.Errorf("spec %d: experiments: %s spec: %w", i, s.Experiment, err)
+		}
+		jobs[i] = j
+	}
+	return jobs, nil
+}
+
+// decodeSpeedupSpec validates one speedup spec and builds its job. A spec
+// whose redundant variant label disagrees with its fields is rejected: it
+// would poison shared caches with mislabeled results.
+func decodeSpeedupSpec(base *preciseTable, s sweep.Spec) (sweep.Job, error) {
+	if s.Experiment != "speedup" {
+		return sweep.Job{}, fmt.Errorf("unresolvable experiment %q (only speedup specs decode)", s.Experiment)
+	}
+	b, err := workloads.ByName(s.Kernel)
+	if err != nil {
+		return sweep.Job{}, err
+	}
+	var p workloads.Params
+	if err := json.Unmarshal([]byte(s.Params["workload"]), &p); err != nil {
+		return sweep.Job{}, fmt.Errorf("bad workload param %q: %v", s.Params["workload"], err)
+	}
+	proc, err := parseProcessor(s.Processor)
+	if err != nil {
+		return sweep.Job{}, err
+	}
+	raw, ok := s.Params["bits"]
+	if !ok {
+		return sweep.Job{}, fmt.Errorf("missing %q param", "bits")
+	}
+	bits, err := strconv.Atoi(raw)
+	if err != nil {
+		return sweep.Job{}, fmt.Errorf("bad %q param %q", "bits", raw)
+	}
+	if bits < 1 || bits > 8 {
+		return sweep.Job{}, fmt.Errorf("bits %d out of range [1,8]", bits)
+	}
+	if want := WNVariant(b, p, bits).String(); s.Variant != "" && s.Variant != want {
+		return sweep.Job{}, fmt.Errorf("variant %q does not match spec fields (%q)", s.Variant, want)
+	}
+	return speedupJob(base, s, proc, b, p, bits), nil
+}
+
+// parseProcessor inverts core.Processor.String.
+func parseProcessor(name string) (core.Processor, error) {
+	for _, p := range []core.Processor{core.ProcClank, core.ProcNVP, core.ProcUndoLog} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown processor %q (want clank, nvp or undolog)", name)
+}
+
 // preciseKey names one precise baseline: every field of a speedup spec
 // except bits, which only the WN build depends on.
 type preciseKey struct {
@@ -124,9 +200,9 @@ func baselineKey(s sweep.Spec) preciseKey {
 }
 
 // preciseTable shares precise baselines among the speedup cells of one
-// ResolveSpecs batch, and lives only as long as that batch's jobs. The
-// first cell that needs a key simulates it; the others reuse the result,
-// error included, or wait for it while it is still running.
+// batch, and lives only as long as that batch's jobs. The first cell that
+// needs a key simulates it; the others reuse the result, error included,
+// or wait for it while it is still running.
 type preciseTable struct {
 	mu      sync.Mutex
 	entries map[preciseKey]*preciseEntry

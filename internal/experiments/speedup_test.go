@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,11 +65,11 @@ func TestSpeedupBatchMatchesSingleSpecs(t *testing.T) {
 	specs := baselineBatch()
 	var alone []json.RawMessage
 	for _, s := range specs {
-		j, err := ResolveSpec(s)
+		j, err := ResolveSpecs([]sweep.Spec{s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		raws, err := sweep.Serial().Run([]sweep.Job{j})
+		raws, err := sweep.Serial().Run(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,5 +168,78 @@ func TestSpeedupBaselineErrorReachesSharers(t *testing.T) {
 	}
 	if n := counts()[bad]; n != 1 {
 		t.Errorf("failing baseline simulated %d times, want 1", n)
+	}
+}
+
+// TestResolveSpeedupRoundTrip: a resolved speedup spec reruns the exact
+// cell the study enumerated.
+func TestResolveSpeedupRoundTrip(t *testing.T) {
+	b := workloads.Var()
+	p := DefaultProtocol().params(b)
+	spec := speedupSpec(core.ProcClank, b, p, 4, 1000, 1)
+	j1, err := ResolveSpecs([]sweep.Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := ResolveSpecs([]sweep.Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := sweep.Serial().Run(j1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := sweep.Serial().Run(j2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r1[0], r2[0]) {
+		t.Error("re-resolved speedup cell is not deterministic")
+	}
+}
+
+// TestResolveSpecErrors: malformed specs are rejected with messages that
+// name the problem.
+func TestResolveSpecErrors(t *testing.T) {
+	b := workloads.Var()
+	p := DefaultProtocol().params(b)
+	good := speedupSpec(core.ProcClank, b, p, 4, 1000, 1)
+
+	cases := []struct {
+		name string
+		mut  func(s sweep.Spec) sweep.Spec
+		want string
+	}{
+		{"unknown experiment", func(s sweep.Spec) sweep.Spec {
+			s.Experiment, s.Processor, s.Source, s.TraceSeed = "table1", "", "", 0
+			s.Variant = PreciseVariant(b, p).String()
+			s.Params = specParams(p)
+			return s
+		}, "unresolvable experiment"},
+		{"unknown kernel", func(s sweep.Spec) sweep.Spec { s.Kernel = "Nope"; return s }, "unknown benchmark"},
+		{"unknown processor", func(s sweep.Spec) sweep.Spec { s.Processor = "magic"; return s }, "unknown processor"},
+		{"missing bits", func(s sweep.Spec) sweep.Spec {
+			s.Params = map[string]string{"workload": s.Params["workload"]}
+			return s
+		}, `missing "bits"`},
+		{"bits out of range", func(s sweep.Spec) sweep.Spec {
+			s.Params = map[string]string{"workload": s.Params["workload"], "bits": "99"}
+			s.Variant = ""
+			return s
+		}, "out of range"},
+		{"bad workload json", func(s sweep.Spec) sweep.Spec {
+			s.Params = map[string]string{"workload": "{", "bits": "4"}
+			return s
+		}, "bad workload param"},
+		{"variant mismatch", func(s sweep.Spec) sweep.Spec { s.Variant = "Var/swp8"; return s }, "does not match"},
+	}
+	if _, err := ResolveSpecs([]sweep.Spec{good}); err != nil {
+		t.Fatalf("valid speedup spec rejected: %v", err)
+	}
+	for _, tc := range cases {
+		_, err := ResolveSpecs([]sweep.Spec{good, tc.mut(good)})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "spec 1:") {
+			t.Errorf("%s: err = %v, want spec 1 rejected with %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -22,30 +22,23 @@ type Table1Row struct {
 	RuntimeMs   float64
 }
 
-// Table1Specs enumerates the study's cells — one per benchmark — as bare
-// specs, which ResolveSpecs turns back into runnable jobs.
-func Table1Specs(proto Protocol) []sweep.Spec {
-	var specs []sweep.Spec
+// Table1 measures every benchmark's precise build through the sweep engine,
+// one job per benchmark. Amenable instructions are those the compiler marked
+// as targets for subword pipelining or vectorization.
+func Table1(proto Protocol) ([]Table1Row, error) {
+	var jobs []sweep.Job
 	for _, b := range workloads.All() {
 		p := proto.params(b)
-		specs = append(specs, sweep.Spec{
-			Experiment: "table1",
-			Kernel:     b.Name,
-			Variant:    PreciseVariant(b, p).String(),
-			InputSeed:  1,
-			Params:     specParams(p),
+		jobs = append(jobs, sweep.Job{
+			Spec: sweep.Spec{
+				Experiment: "table1",
+				Kernel:     b.Name,
+				Variant:    PreciseVariant(b, p).String(),
+				InputSeed:  1,
+				Params:     specParams(p),
+			},
+			Run: func() (any, error) { return runTable1Cell(b, p) },
 		})
-	}
-	return specs
-}
-
-// Table1 measures every benchmark's precise build through the sweep engine.
-// Amenable instructions are those the compiler marked as targets for
-// subword pipelining or vectorization.
-func Table1(proto Protocol) ([]Table1Row, error) {
-	jobs, err := ResolveSpecs(Table1Specs(proto))
-	if err != nil {
-		return nil, err
 	}
 	rows, err := runSweep[Table1Row](proto.runner(), jobs)
 	if err != nil {
@@ -57,23 +50,13 @@ func Table1(proto Protocol) ([]Table1Row, error) {
 // runTable1Cell measures one benchmark: run the precise build to halt under
 // continuous power, counting amenable dynamic instructions.
 func runTable1Cell(b *workloads.Benchmark, p workloads.Params) (Table1Row, error) {
-	clk := energy.DefaultDeviceConfig().ClockHz
 	c, err := PreciseVariant(b, p).Compile()
 	if err != nil {
 		return Table1Row{}, err
 	}
-	cp, _, err := bareDevice(c, b.Inputs(p, 1), false)
+	res, _, err := runContinuous(c, b.Inputs(p, 1), contOptions{})
 	if err != nil {
 		return Table1Row{}, err
-	}
-	cp.SetAmenablePCs(c.Program.Amenable)
-	var cycles uint64
-	for !cp.Halted {
-		res, err := cp.Run(1<<62, nil)
-		if err != nil {
-			return Table1Row{}, fmt.Errorf("%s fault: %w", b.Name, err)
-		}
-		cycles += res.Cycles
 	}
 	tech := "SWV"
 	if b.Mode == compiler.ModeSWP {
@@ -83,9 +66,9 @@ func runTable1Cell(b *workloads.Benchmark, p workloads.Params) (Table1Row, error
 		Benchmark:   b.Name,
 		Area:        b.Area,
 		Technique:   tech,
-		AmenablePct: 100 * float64(cp.Stats.AmenableOps) / float64(cp.Stats.Instructions),
-		Cycles:      cycles,
-		RuntimeMs:   1000 * float64(cycles) / clk,
+		AmenablePct: 100 * float64(res.AmenableOps) / float64(res.Instructions),
+		Cycles:      res.Cycles,
+		RuntimeMs:   1000 * float64(res.Cycles) / energy.DefaultDeviceConfig().ClockHz,
 	}, nil
 }
 

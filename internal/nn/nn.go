@@ -8,8 +8,7 @@
 // themselves rather than in separate NVM progress words.
 //
 // The family registers itself with the workloads ByName registry from
-// init, so the sweep resolvers and wnsim's -bench flag find the NN kernels
-// by name unchanged.
+// init, so wnsim's -bench flag finds the NN kernels by name unchanged.
 package nn
 
 import (

@@ -70,7 +70,7 @@ func assertEqual(t *testing.T, label string, got, want []float64) {
 
 // TestRegistered checks the init-time extension registration: every NN
 // benchmark must resolve through the workloads registry, which is what
-// lets the sweep resolvers rebuild NN specs.
+// lets wnsim's -bench flag run NN kernels by name.
 func TestRegistered(t *testing.T) {
 	for _, b := range nn.All() {
 		got, err := workloads.ByName(b.Name)

@@ -55,8 +55,8 @@ func All() []*Benchmark {
 
 // extensions holds benchmark families registered from other packages (the
 // NN inference family in internal/nn registers itself here from init, so
-// every resolver that looks benchmarks up by name can serve them without
-// an import cycle).
+// every caller that looks benchmarks up by name can serve them without an
+// import cycle).
 var extensions []*Benchmark
 
 // RegisterExtension adds externally defined benchmarks to the ByName
