@@ -16,9 +16,8 @@ import (
 	"strings"
 
 	"whatsnext/internal/asm"
-	"whatsnext/internal/cpu"
+	"whatsnext/internal/core"
 	"whatsnext/internal/isa"
-	"whatsnext/internal/mem"
 	"whatsnext/internal/wncheck"
 )
 
@@ -125,11 +124,10 @@ func run(file string, maxInst uint64, lint bool) error {
 			return err
 		}
 	}
-	m := mem.New(mem.DefaultConfig())
-	if err := m.LoadProgram(p.Image); err != nil {
+	_, c, err := core.NewDevice(core.AssembledProgram(p))
+	if err != nil {
 		return err
 	}
-	c := cpu.New(m)
 	var cycles, instrs uint64
 	for !c.Halted {
 		cost, err := c.Step()

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 
 	"whatsnext/internal/compiler"
+	"whatsnext/internal/core"
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/mem"
 	"whatsnext/internal/quality"
@@ -120,14 +121,9 @@ func runForImage(c *compiler.Compiled, in map[string][]int64, budget uint64) *me
 }
 
 func device(c *compiler.Compiled, in map[string][]int64) (*cpu.CPU, *mem.Memory) {
-	m := mem.New(mem.DefaultConfig())
-	if err := m.LoadProgram(c.Program.Image); err != nil {
+	m, cp, err := core.NewDevice(core.ProgramOf(c, in))
+	if err != nil {
 		log.Fatal(err)
 	}
-	for name, vals := range in {
-		if err := c.Layout.Install(m, name, vals); err != nil {
-			log.Fatal(err)
-		}
-	}
-	return cpu.New(m), m
+	return cp, m
 }

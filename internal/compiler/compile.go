@@ -41,7 +41,10 @@ type Compiled struct {
 	Program     *asm.Program
 	Layout      *Layout
 	EndLabel    string
-	// Cert is the wncheck verification certificate for the emitted image.
+	// Mem is the memory geometry a device running the program needs.
+	Mem mem.Config
+	// Cert is the wncheck verification certificate for the emitted image,
+	// verified at Mem.
 	Cert *wncheck.Certificate
 }
 
@@ -127,23 +130,42 @@ func Compile(k *Kernel, opts Options) (*Compiled, error) {
 	e.placeLabel(endLabel)
 	e.emitf("HALT")
 
-	text := e.String()
-	prog, err := asm.Assemble(text)
-	if err != nil {
-		return nil, fmt.Errorf("compiler: %s: assembling generated code: %w", k.Name, err)
-	}
-	cert, err := verifyEmitted(k.Name, prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
+	return finish(k.Name, &Compiled{
 		Kernel:      target,
 		Options:     opts,
 		NumSubwords: numSub,
-		Asm:         text,
-		Program:     prog,
+		Asm:         e.String(),
 		Layout:      layout,
 		EndLabel:    endLabel,
-		Cert:        cert,
-	}, nil
+	})
+}
+
+// finish assembles a lowered kernel's text, sizes the device memory the
+// program needs, and verifies the image at that geometry.
+func finish(name string, c *Compiled) (*Compiled, error) {
+	prog, err := asm.Assemble(c.Asm)
+	if err != nil {
+		return nil, fmt.Errorf("compiler: %s: assembling generated code: %w", name, err)
+	}
+	c.Program = prog
+	c.Mem = geometry(prog, c.Layout)
+	if c.Cert, err = verifyEmitted(name, prog, c.Mem); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// geometry sizes a device's memory to its program: code to the image and
+// data to the layout, each rounded up to 1 KB. SRAM keeps the default
+// size, because the boot SP sits at its top and moving it would move the
+// stack. An access past the layout therefore faults on the device, and
+// the post-emit verification reports a statically known one as WN403.
+func geometry(prog *asm.Program, l *Layout) mem.Config {
+	const kb = 1 << 10
+	roundUp := func(n int) int { return (n + kb - 1) &^ (kb - 1) }
+	return mem.Config{
+		CodeBytes: roundUp(len(prog.Image)),
+		DataBytes: roundUp(l.TotalBytes),
+		SRAMBytes: mem.DefaultConfig().SRAMBytes,
+	}
 }

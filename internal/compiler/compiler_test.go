@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"whatsnext/internal/asm"
 	"whatsnext/internal/mem"
 )
 
@@ -593,5 +594,31 @@ func TestQuickLinKeyStable(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyEmittedAtProgramGeometry: the post-emit check runs at the
+// program's own geometry, so a store one word past a 4-byte layout — in
+// bounds on the default 512 KB data region — fails the compile as WN403.
+func TestVerifyEmittedAtProgramGeometry(t *testing.T) {
+	prog, err := asm.Assemble(`
+	MOVI R0, #1024
+	MOVTI R0, #4096      ; R0 = data base + 1 KB
+	MOVI R1, #7
+	STR R1, [R0, #0]
+	HALT
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := geometry(prog, &Layout{TotalBytes: 4})
+	if geo.DataBytes != 1<<10 {
+		t.Fatalf("data region %d B for a 4 B layout, want 1 KB", geo.DataBytes)
+	}
+	if _, err := verifyEmitted("oob", prog, geo); err == nil || !strings.Contains(err.Error(), "WN403") {
+		t.Errorf("store at the end of the sized data region: got %v, want a WN403 failure", err)
+	}
+	if _, err := verifyEmitted("oob", prog, mem.DefaultConfig()); err != nil {
+		t.Errorf("store inside the default data region: %v", err)
 	}
 }

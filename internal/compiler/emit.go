@@ -6,6 +6,7 @@ import (
 
 	"whatsnext/internal/asm"
 	"whatsnext/internal/isa"
+	"whatsnext/internal/mem"
 	"whatsnext/internal/wncheck"
 )
 
@@ -69,13 +70,14 @@ func (ra *regalloc) release(r isa.Reg) {
 	}
 }
 
-// verifyEmitted runs the static verifier — including the crash-consistency
-// analysis, so every compile is self-certifying for power-failure soundness
-// and returns the verification certificate alongside the image.
+// verifyEmitted runs the static verifier at the program's memory geometry —
+// including the crash-consistency analysis, so every compile is
+// self-certifying for power-failure soundness and returns the verification
+// certificate alongside the image.
 // Error-severity findings in generated code are compiler bugs, so they fail
 // the compilation; warnings and info findings are left to wnlint.
-func verifyEmitted(name string, prog *asm.Program) (*wncheck.Certificate, error) {
-	res, cert, err := wncheck.Verify(prog, wncheck.Options{Crash: true, Progress: true})
+func verifyEmitted(name string, prog *asm.Program, geo mem.Config) (*wncheck.Certificate, error) {
+	res, cert, err := wncheck.Verify(prog, wncheck.Options{Mem: geo, Crash: true, Progress: true})
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %s: verifying generated code: %w", name, err)
 	}

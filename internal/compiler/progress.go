@@ -1,10 +1,6 @@
 package compiler
 
-import (
-	"fmt"
-
-	"whatsnext/internal/asm"
-)
+import "fmt"
 
 // Progress-embedded lowering (the Stateful-CNN idea, adapted to the WN
 // pipeline): instead of fissioning an anytime kernel into one pass per
@@ -87,25 +83,14 @@ func compileProgress(k *Kernel, opts Options) (*Compiled, error) {
 	e.placeLabel(endLabel)
 	e.emitf("HALT")
 
-	text := e.String()
-	prog, err := asm.Assemble(text)
-	if err != nil {
-		return nil, fmt.Errorf("compiler: %s: assembling generated code: %w", k.Name, err)
-	}
-	cert, err := verifyEmitted(k.Name, prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
+	return finish(k.Name, &Compiled{
 		Kernel:      k,
 		Options:     opts,
 		NumSubwords: numSub,
-		Asm:         text,
-		Program:     prog,
+		Asm:         e.String(),
 		Layout:      layout,
 		EndLabel:    endLabel,
-		Cert:        cert,
-	}, nil
+	})
 }
 
 // checkStoreOnce enforces the embedding contract: every store targets the

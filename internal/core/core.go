@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 
+	"whatsnext/internal/asm"
 	"whatsnext/internal/compiler"
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
@@ -38,10 +39,10 @@ func (p Processor) String() string {
 	}
 }
 
-// Config assembles a device.
+// Config assembles a device. Its memory geometry is not configured here:
+// Load takes it from the compiled program.
 type Config struct {
 	Device      energy.DeviceConfig
-	Mem         mem.Config
 	Processor   Processor
 	Clank       intermittent.ClankConfig
 	NVP         intermittent.NVPConfig
@@ -54,14 +55,61 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Device:  energy.DefaultDeviceConfig(),
-		Mem:     mem.DefaultConfig(),
 		Clank:   intermittent.DefaultClankConfig(),
 		NVP:     intermittent.DefaultNVPConfig(),
 		UndoLog: intermittent.DefaultUndoLogConfig(),
 	}
 }
 
-// System is one simulated device with a loaded kernel.
+// Program is everything building a device reads: a program image, the
+// instruction addresses the compiler marked amenable, the memory geometry
+// the program runs in, and an optional input installer.
+type Program struct {
+	Image    []byte
+	Amenable []uint32
+	Mem      mem.Config
+	// Install, when non-nil, writes the inputs into data memory after the
+	// image is loaded.
+	Install func(m *mem.Memory) error
+}
+
+// AssembledProgram is an assembled program at the default geometry: an
+// assembled file carries no data layout to size memory by.
+func AssembledProgram(p *asm.Program) Program {
+	return Program{Image: p.Image, Amenable: p.Amenable, Mem: mem.DefaultConfig()}
+}
+
+// ProgramOf is a compiled kernel's program at the kernel's own geometry,
+// installing inputs through Compiled.InstallData.
+func ProgramOf(c *compiler.Compiled, inputs map[string][]int64) Program {
+	return Program{
+		Image:    c.Program.Image,
+		Amenable: c.Program.Amenable,
+		Mem:      c.Mem,
+		Install:  func(m *mem.Memory) error { return c.InstallData(m, inputs) },
+	}
+}
+
+// NewDevice builds memory at p's geometry holding its image and inputs,
+// and a CPU at the boot state that carries p's amenable marks. Every
+// simulated device is built here.
+func NewDevice(p Program) (*mem.Memory, *cpu.CPU, error) {
+	m := mem.New(p.Mem)
+	if err := m.LoadProgram(p.Image); err != nil {
+		return nil, nil, err
+	}
+	if p.Install != nil {
+		if err := p.Install(m); err != nil {
+			return nil, nil, err
+		}
+	}
+	c := cpu.New(m)
+	c.SetAmenablePCs(p.Amenable)
+	return m, c, nil
+}
+
+// System is one simulated device with a loaded kernel. CPU, Mem and Runner
+// are set by Load.
 type System struct {
 	Config Config
 	CPU    *cpu.CPU
@@ -73,14 +121,9 @@ type System struct {
 	compiled *compiler.Compiled
 }
 
-// NewSystem builds a device powered by the given harvest trace.
+// NewSystem builds a device powered by the given harvest trace. Its memory
+// and core are built by Load, at the loaded program's geometry.
 func NewSystem(cfg Config, trace *energy.Trace) *System {
-	m := mem.New(cfg.Mem)
-	c := cpu.New(m)
-	if cfg.Memoization {
-		c.Memo = cpu.NewMemoTable()
-	}
-	s := energy.NewSupply(cfg.Device, trace)
 	var p intermittent.Policy
 	switch cfg.Processor {
 	case ProcNVP:
@@ -90,19 +133,21 @@ func NewSystem(cfg Config, trace *energy.Trace) *System {
 	default:
 		p = intermittent.NewClank(cfg.Clank)
 	}
-	sys := &System{Config: cfg, CPU: c, Mem: m, Supply: s, Policy: p}
-	sys.Runner = intermittent.NewRunner(c, m, s, p)
-	return sys
+	return &System{Config: cfg, Supply: energy.NewSupply(cfg.Device, trace), Policy: p}
 }
 
-// Load installs a compiled kernel's program image.
+// Load builds the device for a compiled kernel at the kernel's geometry,
+// with its program image loaded, and attaches the policy to it.
 func (s *System) Load(c *compiler.Compiled) error {
-	if err := s.Mem.LoadProgram(c.Program.Image); err != nil {
+	m, cp, err := NewDevice(ProgramOf(c, nil))
+	if err != nil {
 		return err
 	}
-	s.CPU.InvalidateDecodeCache()
-	s.CPU.SetAmenablePCs(c.Program.Amenable)
-	s.compiled = c
+	if s.Config.Memoization {
+		cp.Memo = cpu.NewMemoTable()
+	}
+	s.CPU, s.Mem, s.compiled = cp, m, c
+	s.Runner = intermittent.NewRunner(cp, m, s.Supply, s.Policy)
 	return nil
 }
 

@@ -130,13 +130,23 @@ func TestRepeatedInputsAreIndependent(t *testing.T) {
 }
 
 func TestMemoizationFlag(t *testing.T) {
+	c, err := compiler.Compile(smallKernel(), compiler.Options{Mode: compiler.ModePrecise})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := func(cfg Config) *System {
+		sys := NewSystem(cfg, ContinuousTrace())
+		if err := sys.Load(c); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
 	cfg := DefaultConfig()
 	cfg.Memoization = true
-	sys := NewSystem(cfg, ContinuousTrace())
-	if sys.CPU.Memo == nil {
+	if loaded(cfg).CPU.Memo == nil {
 		t.Fatal("memoization flag should install the memo table")
 	}
-	if NewSystem(DefaultConfig(), ContinuousTrace()).CPU.Memo != nil {
+	if loaded(DefaultConfig()).CPU.Memo != nil {
 		t.Fatal("memoization defaults to off, as in the paper")
 	}
 }

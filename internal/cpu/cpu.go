@@ -140,15 +140,6 @@ func (c *CPU) PowerLoss() {
 	}
 }
 
-// InvalidateDecodeCache drops the cached decode of code memory (and with it
-// the superblock translation, which is derived from it). Call after loading
-// a new program image.
-func (c *CPU) InvalidateDecodeCache() {
-	c.decodeCache = nil
-	c.decodeErrs = nil
-	c.trans = nil
-}
-
 // SetAmenablePCs installs the instruction addresses the WN compiler marked
 // as amenable to subword pipelining or vectorization; executions at these
 // PCs are tallied for Table I. Nil or empty clears the set.
@@ -257,14 +248,9 @@ func (c *CPU) decodeAt(pc uint32) (isa.Instruction, error) {
 	return in, nil
 }
 
-// setFlagsSub sets NZCV for the subtraction a-b (ARM CMP semantics: C is
-// the no-borrow flag).
+// setFlagsSub sets NZCV for the subtraction a-b, as CMP does.
 func (c *CPU) setFlagsSub(a, b uint32) {
-	r := a - b
-	c.N = int32(r) < 0
-	c.Z = r == 0
-	c.C = a >= b
-	c.V = (int32(a) < 0) != (int32(b) < 0) && (int32(r) < 0) != (int32(a) < 0)
+	c.N, c.Z, c.C, c.V = isa.SubFlags(a, b)
 }
 
 // Step executes one instruction through Run's loop (a one-cycle budget, no
@@ -313,25 +299,4 @@ func (c *CPU) effAddr(in isa.Instruction) uint32 {
 		return c.Regs[in.Rn] + c.Regs[in.Rm]
 	}
 	return c.Regs[in.Rn] + uint32(in.Imm)
-}
-
-func shiftL(v, by uint32) uint32 {
-	if by >= 32 {
-		return 0
-	}
-	return v << by
-}
-
-func shiftR(v, by uint32) uint32 {
-	if by >= 32 {
-		return 0
-	}
-	return v >> by
-}
-
-func shiftAR(v, by uint32) uint32 {
-	if by >= 32 {
-		by = 31
-	}
-	return uint32(int32(v) >> by)
 }

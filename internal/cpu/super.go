@@ -209,17 +209,17 @@ func buildBodyFn(in isa.Instruction) func(*CPU) bool {
 	case isa.OpEorI:
 		return func(c *CPU) bool { c.Regs[rd] = c.Regs[rn] ^ imm; return true }
 	case isa.OpLsl:
-		return func(c *CPU) bool { c.Regs[rd] = shiftL(c.Regs[rn], c.Regs[rm]); return true }
+		return func(c *CPU) bool { c.Regs[rd] = isa.ShiftL(c.Regs[rn], c.Regs[rm]); return true }
 	case isa.OpLslI:
-		return func(c *CPU) bool { c.Regs[rd] = shiftL(c.Regs[rn], imm); return true }
+		return func(c *CPU) bool { c.Regs[rd] = isa.ShiftL(c.Regs[rn], imm); return true }
 	case isa.OpLsr:
-		return func(c *CPU) bool { c.Regs[rd] = shiftR(c.Regs[rn], c.Regs[rm]); return true }
+		return func(c *CPU) bool { c.Regs[rd] = isa.ShiftR(c.Regs[rn], c.Regs[rm]); return true }
 	case isa.OpLsrI:
-		return func(c *CPU) bool { c.Regs[rd] = shiftR(c.Regs[rn], imm); return true }
+		return func(c *CPU) bool { c.Regs[rd] = isa.ShiftR(c.Regs[rn], imm); return true }
 	case isa.OpAsr:
-		return func(c *CPU) bool { c.Regs[rd] = shiftAR(c.Regs[rn], c.Regs[rm]); return true }
+		return func(c *CPU) bool { c.Regs[rd] = isa.ShiftAR(c.Regs[rn], c.Regs[rm]); return true }
 	case isa.OpAsrI:
-		return func(c *CPU) bool { c.Regs[rd] = shiftAR(c.Regs[rn], imm); return true }
+		return func(c *CPU) bool { c.Regs[rd] = isa.ShiftAR(c.Regs[rn], imm); return true }
 
 	case isa.OpCmp:
 		return func(c *CPU) bool { c.setFlagsSub(c.Regs[rn], c.Regs[rm]); return true }
@@ -263,7 +263,7 @@ func buildBodyFn(in isa.Instruction) func(*CPU) bool {
 					c.sbAdj += discount
 				}
 			}
-			c.Regs[rd] = shiftL(prod, sh)
+			c.Regs[rd] = isa.ShiftL(prod, sh)
 			return true
 		}
 

@@ -168,15 +168,10 @@ type contResult struct {
 // and budget stops land on exactly the instruction boundaries stepping one
 // instruction at a time would produce.
 func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOptions) (contResult, *mem.Memory, error) {
-	m := mem.New(mem.DefaultConfig())
-	if err := m.LoadProgram(c.Program.Image); err != nil {
+	m, cp, err := core.NewDevice(core.ProgramOf(c, inputs))
+	if err != nil {
 		return contResult{}, nil, err
 	}
-	if err := c.InstallData(m, inputs); err != nil {
-		return contResult{}, nil, err
-	}
-	cp := cpu.New(m)
-	cp.SetAmenablePCs(c.Program.Amenable)
 	cp.Memo = opt.memo
 	var cycles uint64
 	nextSample := opt.sampleEvery

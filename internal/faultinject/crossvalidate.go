@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 
+	"whatsnext/internal/core"
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/isa"
 	"whatsnext/internal/mem"
@@ -132,7 +133,6 @@ type goldenWorld struct {
 // cycle count. This is the dynamic half of the per-region WCEC contract —
 // the gap must never exceed the certificate's static region bound.
 func GoldenProgress(t Target, cfg Config) (maxGap, total uint64, err error) {
-	normalize(&cfg)
 	g, err := goldenRun(t, cfg, nil, false, false)
 	if err != nil {
 		return 0, 0, err
@@ -162,7 +162,7 @@ var recordCap uint64 = 1 << 22
 // recordCap it finishes unrecorded and, having halted, is re-run recording
 // within the cycles it took.
 func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, withPCs bool) (*goldenWorld, error) {
-	m, err := loadTarget(t, cfg)
+	m, c, err := core.NewDevice(t.Program)
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +172,6 @@ func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, w
 			return nil, err
 		}
 	}
-	c := cpu.New(m)
-	c.SetAmenablePCs(t.Amenable)
 	bound := cmp.Or(cfg.Budget, goldenGuard)
 
 	g := &goldenWorld{m: m}
@@ -261,7 +259,6 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("crossvalidate: Config.Policy is required")
 	}
-	normalize(&cfg.Config)
 	sum := sha256.Sum256(t.Image)
 	if got := hex.EncodeToString(sum[:]); got != cert.ImageSHA256 {
 		return nil, fmt.Errorf("crossvalidate: %s: certificate is for image %s, target is %s", t.Name, cert.ImageSHA256, got)

@@ -107,11 +107,7 @@ func TestKernelsCertifiedAndSurviveInjection(t *testing.T) {
 func TestCrossValidateMatchesFromReset(t *testing.T) {
 	input := []wncheck.AddrRange{{Start: mem.DataBase, End: mem.DataBase + 4}}
 	crash := wncheck.Options{Crash: true}
-	// A small geometry keeps the from-reset engine's per-point device
-	// construction cheap; both engines run on the same one.
-	small := faultinject.CrossConfig{Config: faultinject.Config{
-		Mem: mem.Config{CodeBytes: 1 << 10, DataBytes: 1 << 10, SRAMBytes: 1 << 10}}}
-	inputs, sampled := small, small
+	var plain, inputs, sampled faultinject.CrossConfig
 	inputs.InputWords = []uint32{mem.DataBase}
 	// 206 of commit_order.s's 214 boundaries are flagged: the selection
 	// keeps them, then 3 of the 8 certified ones, cycle 0 among them.
@@ -123,15 +119,15 @@ func TestCrossValidateMatchesFromReset(t *testing.T) {
 		cfg      faultinject.CrossConfig // Policy is filled per runtime
 	}{
 		{"repeated_input.s", []string{"nvp", "clank", "undolog"}, wncheck.Options{Crash: true, Input: input}, inputs},
-		{"war_crossblock.s", []string{"naive", "clank"}, crash, small},
-		{"commit_order.s", []string{"clank", "nvp", "undolog"}, crash, small},
+		{"war_crossblock.s", []string{"naive", "clank"}, crash, plain},
+		{"commit_order.s", []string{"clank", "nvp", "undolog"}, crash, plain},
 		{"commit_order.s", []string{"clank", "nvp", "undolog"}, crash, sampled},
-		{"rmw_nonidem.s", []string{"naive", "undolog"}, crash, small},
-		{"clank_stage.s", []string{"clank", "nvp"}, crash, small},
-		{"skim_stale_reg.s", []string{"clank", "nvp", "undolog"}, crash, small},
+		{"rmw_nonidem.s", []string{"naive", "undolog"}, crash, plain},
+		{"clank_stage.s", []string{"clank", "nvp"}, crash, plain},
+		{"skim_stale_reg.s", []string{"clank", "nvp", "undolog"}, crash, plain},
 		// From reset, sram_cross.s costs 8k boundaries x 12k cycles per
 		// runtime, so it runs under Clank alone.
-		{"sram_cross.s", []string{"clank"}, crash, small},
+		{"sram_cross.s", []string{"clank"}, crash, plain},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -141,6 +137,9 @@ func TestCrossValidateMatchesFromReset(t *testing.T) {
 				t.Fatal(err)
 			}
 			target := faultinject.FromProgram(tc.file, p)
+			// A small geometry keeps the from-reset engine's per-point
+			// device construction cheap; both engines run on the same one.
+			target.Mem = mem.Config{CodeBytes: 1 << 10, DataBytes: 1 << 10, SRAMBytes: 1 << 10}
 			for _, rt := range tc.runtimes {
 				cfg := tc.cfg
 				cfg.Policy = policyFactory(rt)

@@ -39,17 +39,15 @@ import (
 	"whatsnext/internal/mem"
 )
 
-// Config selects the runtime model and memory geometry under test. The
-// energy device is always energy.DefaultDeviceConfig(): policies consult
-// only its NV-write energy figure, and the injector kills power explicitly
-// rather than through the harvesting model.
+// Config selects the runtime model under test; the memory geometry comes
+// with the Target. The energy device is always
+// energy.DefaultDeviceConfig(): policies consult only its NV-write energy
+// figure, and the injector kills power explicitly rather than through the
+// harvesting model.
 type Config struct {
 	// Policy builds a fresh intermittent runtime per run (each run needs
 	// its own checkpoint state). Required.
 	Policy func() intermittent.Policy
-	// Mem overrides the memory geometry; the zero value means
-	// mem.DefaultConfig().
-	Mem mem.Config
 	// Budget bounds the active cycles of any single run; zero derives
 	// 4x the golden run plus slack. An injected run that exceeds it has
 	// lost forward progress, which counts as a divergence.
@@ -172,7 +170,7 @@ func diff(kill killPoint, run *device, worlds []*goldenWorld, inputWords []uint3
 		ext = ext.Union(w.m.Dirty())
 	}
 	// Widened to whole words, as the comparison goes word by word.
-	lo, hi := ext.DataLo&^3, min((ext.DataHi+3)&^3, uint32(run.cfg.Mem.DataBytes)&^3)
+	lo, hi := ext.DataLo&^3, min((ext.DataHi+3)&^3, uint32(run.m.Config().DataBytes)&^3)
 	if lo >= hi {
 		return nil, nil
 	}

@@ -27,7 +27,8 @@ loop:
 		t.Fatal(err)
 	}
 	target := FromProgram("loop", p)
-	cfg := Config{Mem: mem.Config{CodeBytes: 1 << 10, DataBytes: 1 << 10, SRAMBytes: 1 << 10}}
+	target.Mem = mem.Config{CodeBytes: 1 << 10, DataBytes: 1 << 10, SRAMBytes: 1 << 10}
+	cfg := Config{}
 	for _, pcs := range []bool{false, true} {
 		got, err := goldenRun(target, cfg, nil, true, pcs)
 		if err != nil {

@@ -81,7 +81,6 @@ func TestCampaignStampsInstructionCounts(t *testing.T) {
 	var onBoundary, inside, above bool
 	for _, target := range stampTargets(t) {
 		cfg := Config{}
-		normalize(&cfg)
 		recorded, plain := recordedGolden(t, target, cfg)
 		if plain.cycles != recorded.cycles || plain.instrs != recorded.instrs || plain.costs != nil {
 			t.Fatalf("%s: unrecorded golden run took %d cycles, %d instructions, %d costs; recorded %d, %d",
@@ -182,7 +181,6 @@ func TestStridedKillPointsMatchDefinition(t *testing.T) {
 	for trial := 0; trial < 48; trial++ {
 		target := targets[rng.Intn(len(targets))]
 		cfg := Config{}
-		normalize(&cfg)
 		recorded, plain := recordedGolden(t, target, cfg)
 		cfg.Budget = 4*plain.cycles + 65536
 		cfg.Policy = stampPolicies[rng.Intn(len(stampPolicies))]
@@ -204,7 +202,6 @@ func TestStridedKillPointsOnBoundaries(t *testing.T) {
 	var multiCycle bool
 	for _, target := range stampTargets(t) {
 		cfg := Config{}
-		normalize(&cfg)
 		recorded, plain := recordedGolden(t, target, cfg)
 		if plain.cycles > 4096 {
 			continue
@@ -247,7 +244,6 @@ func TestStridedKillPointsEmptyRun(t *testing.T) {
 	}
 	target := stampTargets(t)[0]
 	cfg := Config{}
-	normalize(&cfg)
 	_, plain := recordedGolden(t, target, cfg)
 	cfg.Budget = 4*plain.cycles + 65536
 	cfg.Policy = stampPolicies[0]

@@ -18,7 +18,6 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("faultinject: Config.Policy is required")
 	}
-	normalize(&cfg)
 
 	// Only an exhaustive schedule needs the golden run's per-instruction
 	// boundaries; a strided one needs its length, and the campaign stamps
@@ -142,13 +141,6 @@ func campaign(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 		visit(kill, div)
 	}
 	return nil
-}
-
-// normalize fills the Config default: the default memory geometry.
-func normalize(cfg *Config) {
-	if cfg.Mem == (mem.Config{}) {
-		cfg.Mem = mem.DefaultConfig()
-	}
 }
 
 // finish applies the forced failure (and onKill) to a freshly forked child

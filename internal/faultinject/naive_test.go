@@ -177,11 +177,10 @@ func TestCampaignVisitsInCycleOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := FromProgram("commit_order.s", p)
+	target.Mem = mem.Config{CodeBytes: 1 << 10, DataBytes: 1 << 10, SRAMBytes: 1 << 10}
 	cfg := Config{
 		Policy: func() intermittent.Policy { return intermittent.NewClank(intermittent.DefaultClankConfig()) },
-		Mem:    mem.Config{CodeBytes: 1 << 10, DataBytes: 1 << 10, SRAMBytes: 1 << 10},
 	}
-	normalize(&cfg)
 	golden, err := goldenRun(target, cfg, nil, true, false)
 	if err != nil {
 		t.Fatal(err)

@@ -5,45 +5,38 @@ import (
 
 	"whatsnext/internal/asm"
 	"whatsnext/internal/compiler"
+	"whatsnext/internal/core"
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
 	"whatsnext/internal/intermittent"
 	"whatsnext/internal/mem"
 )
 
-// Target is a program under injection: an image plus optional input
-// installation, so every run starts from an identical device state.
+// Target is a program under injection: the program a device is built from
+// (image, amenable marks, memory geometry and optional input installer),
+// so every run starts from an identical device state.
 type Target struct {
-	Name     string
-	Image    []byte
-	Amenable []uint32
-	// Install, when non-nil, writes the inputs into data memory after the
-	// program image is loaded.
-	Install func(m *mem.Memory) error
+	Name string
+	core.Program
 }
 
-// FromProgram wraps an assembled program.
+// FromProgram wraps an assembled program, at the default memory geometry.
 func FromProgram(name string, p *asm.Program) Target {
-	return Target{Name: name, Image: p.Image, Amenable: p.Amenable}
+	return Target{Name: name, Program: core.AssembledProgram(p)}
 }
 
-// FromCompiled wraps a compiled kernel with its input arrays.
+// FromCompiled wraps a compiled kernel with its input arrays, at the
+// kernel's own memory geometry. Its inputs install through InstallData,
+// which also pre-fills progress-embedded outputs with their sentinel, so
+// every injected run starts from the same resumable state.
 func FromCompiled(name string, c *compiler.Compiled, inputs map[string][]int64) Target {
-	return Target{
-		Name:     name,
-		Image:    c.Program.Image,
-		Amenable: c.Program.Amenable,
-		// InstallData also pre-fills progress-embedded outputs with their
-		// sentinel, so every injected run starts from the same resumable state.
-		Install: func(m *mem.Memory) error { return c.InstallData(m, inputs) },
-	}
+	return Target{Name: name, Program: core.ProgramOf(c, inputs)}
 }
 
 // device is one target under execution: CPU, memory, runner, policy, and
 // the pure-CPU-cycle and instruction position. The campaign's trunk is
 // one; each kill point forks it and drives the fork to its outcome.
 type device struct {
-	cfg    Config
 	m      *mem.Memory
 	c      *cpu.CPU
 	r      *intermittent.Runner
@@ -51,20 +44,6 @@ type device struct {
 
 	cycles uint64 // pure CPU cycles executed (sum of Cost.Cycles)
 	instrs uint64 // instructions executed
-}
-
-// loadTarget builds fresh memory holding the target's image and inputs.
-func loadTarget(t Target, cfg Config) (*mem.Memory, error) {
-	m := mem.New(cfg.Mem)
-	if err := m.LoadProgram(t.Image); err != nil {
-		return nil, err
-	}
-	if t.Install != nil {
-		if err := t.Install(m); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }
 
 // newSupply is a device's energy supply. It exists only because policies
@@ -77,14 +56,12 @@ func newSupply() *energy.Supply {
 
 // newDevice builds a fresh device for the target.
 func newDevice(t Target, cfg Config) (*device, error) {
-	m, err := loadTarget(t, cfg)
+	m, c, err := core.NewDevice(t.Program)
 	if err != nil {
 		return nil, err
 	}
-	c := cpu.New(m)
-	c.SetAmenablePCs(t.Amenable)
 	policy := cfg.Policy()
-	return &device{cfg: cfg, m: m, c: c, r: intermittent.NewRunner(c, m, newSupply(), policy), policy: policy}, nil
+	return &device{m: m, c: c, r: intermittent.NewRunner(c, m, newSupply(), policy), policy: policy}, nil
 }
 
 // forkInto rebuilds a previously used fork on top of the trunk's current
@@ -109,7 +86,7 @@ func (d *device) forkInto(spare *device) *device {
 func (d *device) forkOnto(m *mem.Memory) *device {
 	c := d.c.Fork(m)
 	r := d.r.Fork(c, m, newSupply())
-	return &device{cfg: d.cfg, m: m, c: c, r: r, policy: r.Policy, cycles: d.cycles, instrs: d.instrs}
+	return &device{m: m, c: c, r: r, policy: r.Policy, cycles: d.cycles, instrs: d.instrs}
 }
 
 // runTo advances the device until it halts, reaches the first instruction

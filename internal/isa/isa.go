@@ -429,3 +429,37 @@ func (in Instruction) String() string {
 		return fmt.Sprintf("%s %s, %s, #%d", name, in.Rd, in.Rn, in.Imm)
 	}
 }
+
+// ShiftL is LSL's value: shift amounts of 32 and more clear the register.
+func ShiftL(v, by uint32) uint32 {
+	if by >= 32 {
+		return 0
+	}
+	return v << by
+}
+
+// ShiftR is LSR's value: shift amounts of 32 and more clear the register.
+func ShiftR(v, by uint32) uint32 {
+	if by >= 32 {
+		return 0
+	}
+	return v >> by
+}
+
+// ShiftAR is ASR's value: shift amounts of 32 and more fill the register
+// with the sign bit.
+func ShiftAR(v, by uint32) uint32 {
+	if by >= 32 {
+		by = 31
+	}
+	return uint32(int32(v) >> by)
+}
+
+// SubFlags returns the NZCV flags CMP, CMPI and SUBIS set for the
+// subtraction a-b (ARM semantics: C is the no-borrow flag). V, signed
+// overflow, is set when a and b differ in sign and the result's sign
+// differs from a's.
+func SubFlags(a, b uint32) (n, z, c, v bool) {
+	r := a - b
+	return int32(r) < 0, r == 0, a >= b, int32((a^b)&(a^r)) < 0
+}

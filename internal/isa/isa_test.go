@@ -242,3 +242,61 @@ func TestAccessBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftEdges pins the shift values at the amounts where Go's own
+// shifts and the ISA's part ways: 32 and more clear LSL/LSR and sign-fill
+// ASR.
+func TestShiftEdges(t *testing.T) {
+	cases := []struct {
+		v, by         uint32
+		lsl, lsr, asr uint32
+	}{
+		{0x8000_0001, 0, 0x8000_0001, 0x8000_0001, 0x8000_0001},
+		{0x8000_0001, 1, 0x0000_0002, 0x4000_0000, 0xC000_0000},
+		{0x8000_0001, 31, 0x8000_0000, 0x0000_0001, 0xFFFF_FFFF},
+		{0x8000_0001, 32, 0, 0, 0xFFFF_FFFF},
+		{0x8000_0001, 255, 0, 0, 0xFFFF_FFFF},
+		{0x7FFF_FFFF, 31, 0x8000_0000, 0, 0},
+		{0x7FFF_FFFF, 32, 0, 0, 0},
+		{0x7FFF_FFFF, 255, 0, 0, 0},
+		{0xFFFF_FFF0, 4, 0xFFFF_FF00, 0x0FFF_FFFF, 0xFFFF_FFFF},
+		{0xFFFF_FF00, 0xFFFF_FFFF, 0, 0, 0xFFFF_FFFF},
+	}
+	for _, c := range cases {
+		if got := ShiftL(c.v, c.by); got != c.lsl {
+			t.Errorf("ShiftL(%#x, %d) = %#x, want %#x", c.v, c.by, got, c.lsl)
+		}
+		if got := ShiftR(c.v, c.by); got != c.lsr {
+			t.Errorf("ShiftR(%#x, %d) = %#x, want %#x", c.v, c.by, got, c.lsr)
+		}
+		if got := ShiftAR(c.v, c.by); got != c.asr {
+			t.Errorf("ShiftAR(%#x, %d) = %#x, want %#x", c.v, c.by, got, c.asr)
+		}
+	}
+}
+
+// TestSubFlags pins CMP's NZCV, including signed overflow (V) and the
+// unsigned no-borrow carry (C).
+func TestSubFlags(t *testing.T) {
+	cases := []struct {
+		a, b       uint32
+		n, z, c, v bool
+	}{
+		{5, 5, false, true, true, false},
+		{5, 3, false, false, true, false},
+		{3, 5, true, false, false, false},
+		{0, 1, true, false, false, false},                    // unsigned borrow
+		{0x8000_0000, 1, false, false, true, true},           // INT_MIN - 1 overflows positive
+		{0x7FFF_FFFF, 0xFFFF_FFFF, true, false, false, true}, // INT_MAX - (-1) overflows negative
+		{0xFFFF_FFFF, 1, true, false, true, false},           // -1 - 1, no overflow
+		{0x8000_0000, 0x8000_0000, false, true, true, false},
+		{1, 0x8000_0000, true, false, false, true}, // 1 - INT_MIN overflows
+	}
+	for _, c := range cases {
+		n, z, cf, v := SubFlags(c.a, c.b)
+		if n != c.n || z != c.z || cf != c.c || v != c.v {
+			t.Errorf("SubFlags(%#x, %#x) = N%v Z%v C%v V%v, want N%v Z%v C%v V%v",
+				c.a, c.b, n, z, cf, v, c.n, c.z, c.c, c.v)
+		}
+	}
+}

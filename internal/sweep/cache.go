@@ -11,7 +11,7 @@ import (
 // Cache stores encoded job results under their spec hash. Implementations
 // must be safe for concurrent use by the engine's workers. Put is
 // best-effort: the engine ignores persistence failures (the result is still
-// returned to the caller) but counts them in the metrics.
+// returned to the caller).
 type Cache interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, val []byte) error

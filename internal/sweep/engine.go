@@ -76,7 +76,6 @@ func (e *Engine) Run(jobs []Job) ([]json.RawMessage, error) {
 		return nil, nil
 	}
 	e.m.submitted.Add(int64(n))
-	e.m.enqueue(int64(n))
 
 	results := make([]json.RawMessage, n)
 	errs := make([]error, n)
@@ -93,13 +92,12 @@ func (e *Engine) Run(jobs []Job) ([]json.RawMessage, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				e.m.queueDepth.Add(-1)
 				if aborted.Load() {
 					errs[i] = errSkipped
 					e.m.done.Add(1)
 					continue
 				}
-				raw, hit, wall, err := e.runOne(jobs[i])
+				raw, err := e.runOne(jobs[i])
 				if err != nil {
 					errs[i] = err
 					aborted.Store(true)
@@ -109,9 +107,6 @@ func (e *Engine) Run(jobs []Job) ([]json.RawMessage, error) {
 				done := e.m.done.Add(1)
 				e.notify(Progress{
 					Spec:      jobs[i].Spec,
-					CacheHit:  hit,
-					Err:       err,
-					Wall:      wall,
 					Done:      done,
 					Total:     e.m.submitted.Load(),
 					CacheHits: e.m.cacheHits.Load(),
@@ -137,38 +132,33 @@ func (e *Engine) Run(jobs []Job) ([]json.RawMessage, error) {
 
 // runOne serves one job from the cache or simulates it and encodes the
 // result.
-func (e *Engine) runOne(j Job) (raw json.RawMessage, hit bool, wall time.Duration, err error) {
+func (e *Engine) runOne(j Job) (json.RawMessage, error) {
 	var key string
 	if e.cache != nil {
 		key = j.Spec.Hash()
 		if b, ok := e.cache.Get(key); ok {
 			e.m.cacheHits.Add(1)
-			return b, true, 0, nil
+			return b, nil
 		}
-		e.m.cacheMisses.Add(1)
 	}
 	start := time.Now() //wnvet:allow wall-clock metric only, never in results
 	v, err := j.Run()
-	wall = time.Since(start) //wnvet:allow wall-clock metric only, never in results
-	e.m.wallNanos.Add(int64(wall))
+	e.m.wallNanos.Add(int64(time.Since(start))) //wnvet:allow wall-clock metric only, never in results
 	if err != nil {
-		e.m.errors.Add(1)
-		return nil, false, wall, err
+		return nil, err
 	}
 	if cr, ok := v.(CycleReporter); ok {
 		e.m.simCycles.Add(cr.SimulatedCycles())
 	}
-	raw, err = json.Marshal(v)
+	raw, err := json.Marshal(v)
 	if err != nil {
-		e.m.errors.Add(1)
-		return nil, false, wall, fmt.Errorf("encode result: %w", err)
+		return nil, fmt.Errorf("encode result: %w", err)
 	}
 	if e.cache != nil {
-		if err := e.cache.Put(key, raw); err != nil {
-			e.m.cachePutErr.Add(1) // best-effort persistence
-		}
+		// Persistence is best-effort: a failed Put only costs a later miss.
+		_ = e.cache.Put(key, raw)
 	}
-	return raw, false, wall, nil
+	return raw, nil
 }
 
 func (e *Engine) notify(p Progress) {

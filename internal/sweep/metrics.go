@@ -9,26 +9,11 @@ import (
 // metrics is the engine's internal counter block. All fields are updated
 // with atomics from worker goroutines.
 type metrics struct {
-	submitted   atomic.Int64
-	done        atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	cachePutErr atomic.Int64
-	errors      atomic.Int64
-	queueDepth  atomic.Int64
-	maxQueue    atomic.Int64
-	wallNanos   atomic.Int64
-	simCycles   atomic.Uint64
-}
-
-func (m *metrics) enqueue(n int64) {
-	depth := m.queueDepth.Add(n)
-	for {
-		max := m.maxQueue.Load()
-		if depth <= max || m.maxQueue.CompareAndSwap(max, depth) {
-			return
-		}
-	}
+	submitted atomic.Int64
+	done      atomic.Int64
+	cacheHits atomic.Int64
+	wallNanos atomic.Int64
+	simCycles atomic.Uint64
 }
 
 // Metrics is a point-in-time snapshot of an engine's lifetime counters,
@@ -37,15 +22,8 @@ type Metrics struct {
 	// Submitted and Done count jobs handed to Run and jobs finished
 	// (simulated, served from cache, errored, or skipped after a failure).
 	Submitted, Done int64
-	// CacheHits / CacheMisses count lookups when a cache is configured.
-	CacheHits, CacheMisses int64
-	// CachePutErrors counts best-effort persistence failures.
-	CachePutErrors int64
-	// Errors counts jobs whose Run returned an error.
-	Errors int64
-	// QueueDepth is the current number of submitted-but-unstarted jobs;
-	// MaxQueueDepth is the high-water mark.
-	QueueDepth, MaxQueueDepth int64
+	// CacheHits counts jobs served from the cache.
+	CacheHits int64
 	// SimWall is the summed wall-clock time spent inside Run closures
 	// (CPU-seconds of simulation, not elapsed time).
 	SimWall time.Duration
@@ -57,16 +35,11 @@ type Metrics struct {
 
 func (m *metrics) snapshot() Metrics {
 	return Metrics{
-		Submitted:      m.submitted.Load(),
-		Done:           m.done.Load(),
-		CacheHits:      m.cacheHits.Load(),
-		CacheMisses:    m.cacheMisses.Load(),
-		CachePutErrors: m.cachePutErr.Load(),
-		Errors:         m.errors.Load(),
-		QueueDepth:     m.queueDepth.Load(),
-		MaxQueueDepth:  m.maxQueue.Load(),
-		SimWall:        time.Duration(m.wallNanos.Load()),
-		SimCycles:      m.simCycles.Load(),
+		Submitted: m.submitted.Load(),
+		Done:      m.done.Load(),
+		CacheHits: m.cacheHits.Load(),
+		SimWall:   time.Duration(m.wallNanos.Load()),
+		SimCycles: m.simCycles.Load(),
 	}
 }
 
@@ -82,12 +55,6 @@ func (m Metrics) String() string {
 type Progress struct {
 	// Spec identifies the job that just finished.
 	Spec Spec
-	// CacheHit reports that the result was served from the cache.
-	CacheHit bool
-	// Err is the job's error, if it failed.
-	Err error
-	// Wall is the time spent simulating this job (zero for cache hits).
-	Wall time.Duration
 	// Done and Total are engine-lifetime completion counters: jobs
 	// finished and jobs submitted so far (Total grows as later studies
 	// submit more work).

@@ -189,27 +189,6 @@ func (s *dfState) merge(o *dfState) bool {
 	return changed
 }
 
-func shiftLc(v, by uint32) uint32 {
-	if by >= 32 {
-		return 0
-	}
-	return v << by
-}
-
-func shiftRc(v, by uint32) uint32 {
-	if by >= 32 {
-		return 0
-	}
-	return v >> by
-}
-
-func shiftARc(v, by uint32) uint32 {
-	if by >= 32 {
-		by = 31
-	}
-	return uint32(int32(v) >> by)
-}
-
 // effAddr resolves the effective address of a memory instruction when the
 // operands are statically known.
 func (s *dfState) effAddr(in isa.Instruction) (uint32, bool) {
@@ -437,11 +416,11 @@ func (c *checker) evalALU(s *dfState, in isa.Instruction) regVal {
 	case isa.OpEor, isa.OpEorI:
 		v = a.v ^ b.v
 	case isa.OpLsl, isa.OpLslI:
-		v = shiftLc(a.v, b.v)
+		v = isa.ShiftL(a.v, b.v)
 	case isa.OpLsr, isa.OpLsrI:
-		v = shiftRc(a.v, b.v)
+		v = isa.ShiftR(a.v, b.v)
 	case isa.OpAsr, isa.OpAsrI:
-		v = shiftARc(a.v, b.v)
+		v = isa.ShiftAR(a.v, b.v)
 	default:
 		return regVal{}
 	}

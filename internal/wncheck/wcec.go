@@ -451,14 +451,10 @@ func loopSummary(it summary, bound uint64, known bool, lo, hi uint32) summary {
 	return out
 }
 
-// condTaken mirrors the CPU's flag semantics for a compare of a against b
-// (flags = a - b, as setFlagsSub) followed by a conditional branch.
+// condTaken evaluates a conditional branch after a compare of a against b,
+// on the flags the CPU sets for it.
 func condTaken(op isa.Opcode, a, b uint32) bool {
-	r := a - b
-	n := int32(r) < 0
-	z := r == 0
-	cc := a >= b
-	v := (int32(a) < 0) != (int32(b) < 0) && (int32(r) < 0) != (int32(a) < 0)
+	n, z, cc, v := isa.SubFlags(a, b)
 	switch op {
 	case isa.OpBeq:
 		return z
