@@ -255,7 +255,7 @@ func inject(file string, p *asm.Program, points int, quiet bool) (bool, error) {
 	policies := []func() intermittent.Policy{
 		func() intermittent.Policy { return intermittent.NewClank(intermittent.DefaultClankConfig()) },
 		func() intermittent.Policy { return intermittent.NewNVP(intermittent.DefaultNVPConfig()) },
-		func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) },
+		func() intermittent.Policy { return intermittent.NewUndoLog() },
 	}
 	target := faultinject.FromProgram(file, p)
 	diverged := false

@@ -290,11 +290,11 @@ func TestPlanarRoundTripProperty(t *testing.T) {
 			}
 			// Arbitrary plane contents, e.g. lanes holding carries.
 			m := mem.New(mem.DefaultConfig())
-			raw := make([]byte, al.TotalBytes)
-			rng.Read(raw)
-			if err := m.WriteData(al.Base, raw); err != nil {
+			raw, err := m.DataWindow(al.Base, al.TotalBytes)
+			if err != nil {
 				t.Fatal(err)
 			}
+			rng.Read(raw)
 			out, err := l.Extract(m, "A")
 			if err != nil {
 				t.Fatal(err)

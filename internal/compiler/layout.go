@@ -151,7 +151,12 @@ func (l *Layout) Install(m *mem.Memory, name string, vals []int64) error {
 			}
 		}
 	}
-	buf := make([]byte, al.TotalBytes)
+	buf, err := m.DataWindow(al.Base, al.TotalBytes)
+	if err != nil {
+		return err
+	}
+	// Zeroed first: elements past len(vals) and planar padding stay zero.
+	clear(buf)
 	if al.Planar {
 		encodePlanar(&al, vals, buf)
 	} else {
@@ -184,7 +189,7 @@ func (l *Layout) Install(m *mem.Memory, name string, vals []int64) error {
 			}
 		}
 	}
-	return m.WriteData(al.Base, buf)
+	return nil
 }
 
 // Fill writes the same raw element value into every slot of a row-major
@@ -199,14 +204,18 @@ func (l *Layout) Fill(m *mem.Memory, name string, raw uint32) error {
 	if al.Planar {
 		return fmt.Errorf("compiler: cannot fill planar array %q", name)
 	}
-	buf := make([]byte, al.TotalBytes)
+	buf, err := m.DataWindow(al.Base, al.TotalBytes)
+	if err != nil {
+		return err
+	}
+	clear(buf) // the padding after the last element stays zero
 	eb := al.ElemBytes()
 	for i := 0; i < al.Array.Len; i++ {
 		for b := 0; b < eb; b++ {
 			buf[i*eb+b] = byte(raw >> (8 * b))
 		}
 	}
-	return m.WriteData(al.Base, buf)
+	return nil
 }
 
 // encodePlanar packs vals into the planes of a zeroed buffer. Each plane's
@@ -236,8 +245,8 @@ func (l *Layout) Extract(m *mem.Memory, name string) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, al.TotalBytes)
-	if err := m.ReadData(al.Base, buf); err != nil {
+	buf, err := m.DataWindow(al.Base, al.TotalBytes)
+	if err != nil {
 		return nil, err
 	}
 	vals := make([]int64, al.Array.Len)

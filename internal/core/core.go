@@ -45,8 +45,6 @@ type Config struct {
 	Device      energy.DeviceConfig
 	Processor   Processor
 	Clank       intermittent.ClankConfig
-	NVP         intermittent.NVPConfig
-	UndoLog     intermittent.UndoLogConfig
 	Memoization bool // enable the 16-entry memo table + zero skipping
 }
 
@@ -54,10 +52,8 @@ type Config struct {
 // 10 uF capacitor, Clank checkpointing, no memoization.
 func DefaultConfig() Config {
 	return Config{
-		Device:  energy.DefaultDeviceConfig(),
-		Clank:   intermittent.DefaultClankConfig(),
-		NVP:     intermittent.DefaultNVPConfig(),
-		UndoLog: intermittent.DefaultUndoLogConfig(),
+		Device: energy.DefaultDeviceConfig(),
+		Clank:  intermittent.DefaultClankConfig(),
 	}
 }
 
@@ -127,9 +123,9 @@ func NewSystem(cfg Config, trace *energy.Trace) *System {
 	var p intermittent.Policy
 	switch cfg.Processor {
 	case ProcNVP:
-		p = intermittent.NewNVP(cfg.NVP)
+		p = intermittent.NewNVP(intermittent.DefaultNVPConfig())
 	case ProcUndoLog:
-		p = intermittent.NewUndoLog(cfg.UndoLog)
+		p = intermittent.NewUndoLog()
 	default:
 		p = intermittent.NewClank(cfg.Clank)
 	}

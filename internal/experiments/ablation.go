@@ -78,7 +78,7 @@ func runSkimAblation(b *workloads.Benchmark, p workloads.Params) (SkimAblationRo
 	}
 
 	run := func(c *compiler.Compiled) (uint64, []float64, error) {
-		sys := intermittentSystem(core.ProcClank, 77, false)
+		sys := intermittentSystem(core.ProcClank, wifiTrace(77))
 		if err := sys.Load(c); err != nil {
 			return 0, nil, err
 		}
@@ -171,7 +171,7 @@ func runWatchdogPoint(b *workloads.Benchmark, p workloads.Params, wd uint64) (Wa
 	}
 	cfg := core.DefaultConfig()
 	cfg.Clank.WatchdogCycles = wd
-	sys := core.NewSystem(cfg, energy.SyntheticWiFiTrace(5, energy.DefaultTraceConfig()))
+	sys := core.NewSystem(cfg, wifiTrace(5))
 	if err := sys.Load(precise); err != nil {
 		return WatchdogRow{}, err
 	}
@@ -271,7 +271,7 @@ func runCapacitorPoint(b *workloads.Benchmark, p workloads.Params, uf float64) (
 	cfg := core.DefaultConfig()
 	cfg.Device.CapacitanceF = uf * 1e-6
 	run := func(c *compiler.Compiled) (uint64, []float64, error) {
-		sys := core.NewSystem(cfg, energy.SyntheticWiFiTrace(5, energy.DefaultTraceConfig()))
+		sys := core.NewSystem(cfg, wifiTrace(5))
 		if err := sys.Load(c); err != nil {
 			return 0, nil, err
 		}
@@ -464,7 +464,7 @@ func runConsistencyPoint(b *workloads.Benchmark, p workloads.Params, proc core.P
 		return ConsistencyRow{}, err
 	}
 	run := func(c *compiler.Compiled) (uint64, uint64, error) {
-		sys := intermittentSystem(proc, 33, false)
+		sys := intermittentSystem(proc, wifiTrace(33))
 		if err := sys.Load(c); err != nil {
 			return 0, 0, err
 		}

@@ -224,17 +224,16 @@ func preciseCycles(b *workloads.Benchmark, p workloads.Params, seed int64) (uint
 	return res.Cycles, nil
 }
 
-// intermittentSystem builds a powered device on a seeded synthetic Wi-Fi
-// trace for the given processor kind.
-func intermittentSystem(proc core.Processor, traceSeed int64, memo bool) *core.System {
-	return intermittentSystemOn(proc, energy.SyntheticWiFiTrace(traceSeed, energy.DefaultTraceConfig()), memo)
-}
-
-// intermittentSystemOn builds a powered device on a given harvest trace. The
-// supply only reads the trace, so devices may share one.
-func intermittentSystemOn(proc core.Processor, trace *energy.Trace, memo bool) *core.System {
+// intermittentSystem builds a powered default device for the given
+// processor kind on a harvest trace. The supply only reads the trace, so
+// devices may share one.
+func intermittentSystem(proc core.Processor, trace *energy.Trace) *core.System {
 	cfg := core.DefaultConfig()
 	cfg.Processor = proc
-	cfg.Memoization = memo
 	return core.NewSystem(cfg, trace)
+}
+
+// wifiTrace is the seeded synthetic Wi-Fi harvest trace.
+func wifiTrace(seed int64) *energy.Trace {
+	return energy.SyntheticWiFiTrace(seed, energy.DefaultTraceConfig())
 }

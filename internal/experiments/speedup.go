@@ -249,9 +249,9 @@ func runSpeedupCell(base *preciseTable, key preciseKey, proc core.Processor, b *
 	}
 	in := b.Inputs(p, key.inputSeed)
 	golden := b.Golden(p, in)
-	trace := energy.SyntheticWiFiTrace(key.traceSeed, energy.DefaultTraceConfig())
+	trace := wifiTrace(key.traceSeed)
 
-	wnSys := intermittentSystemOn(proc, trace, false)
+	wnSys := intermittentSystem(proc, trace)
 	if err := wnSys.Load(wn); err != nil {
 		return speedupCell{}, err
 	}
@@ -284,7 +284,7 @@ func simulatePrecise(proc core.Processor, b *workloads.Benchmark, p workloads.Pa
 	if err != nil {
 		return 0, err
 	}
-	sys := intermittentSystemOn(proc, trace, false)
+	sys := intermittentSystem(proc, trace)
 	if err := sys.Load(precise); err != nil {
 		return 0, err
 	}

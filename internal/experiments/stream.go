@@ -106,7 +106,7 @@ func calibrateStream(b *workloads.Benchmark, p workloads.Params) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	ref := intermittentSystem(core.ProcClank, streamTraceSeed, false)
+	ref := intermittentSystem(core.ProcClank, wifiTrace(streamTraceSeed))
 	if err := ref.Load(precise); err != nil {
 		return 0, err
 	}
@@ -123,7 +123,7 @@ func streamOne(v Variant, config string, period uint64, arrivals int) (StreamRow
 	if err != nil {
 		return StreamRow{}, err
 	}
-	sys := intermittentSystem(core.ProcClank, streamTraceSeed, false)
+	sys := intermittentSystem(core.ProcClank, wifiTrace(streamTraceSeed))
 	if err := sys.Load(c); err != nil {
 		return StreamRow{}, err
 	}

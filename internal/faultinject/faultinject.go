@@ -161,20 +161,20 @@ func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 // its run. Outside the union of those dirty extents the run and every
 // world therefore still hold the kill boundary's bytes, so only the union
 // is read and compared.
-func diff(kill killPoint, run *device, worlds []*goldenWorld, inputWords []uint32) (*Divergence, error) {
-	if !run.c.Halted {
+func diff(kill killPoint, run *intermittent.Runner, worlds []*goldenWorld, inputWords []uint32) (*Divergence, error) {
+	if !run.CPU.Halted {
 		return &Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr}, nil
 	}
-	ext := run.m.Dirty()
+	ext := run.Mem.Dirty()
 	for _, w := range worlds {
 		ext = ext.Union(w.m.Dirty())
 	}
 	// Widened to whole words, as the comparison goes word by word.
-	lo, hi := ext.DataLo&^3, min((ext.DataHi+3)&^3, uint32(run.m.Config().DataBytes)&^3)
+	lo, hi := ext.DataLo&^3, min((ext.DataHi+3)&^3, uint32(run.Mem.Config().DataBytes)&^3)
 	if lo >= hi {
 		return nil, nil
 	}
-	got, err := dataWords(run.m, lo, hi, inputWords)
+	got, err := dataWords(run.Mem, lo, hi, inputWords)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func policyFactory(name string) func() intermittent.Policy {
 	case "nvp":
 		return func() intermittent.Policy { return intermittent.NewNVP(intermittent.DefaultNVPConfig()) }
 	case "undolog":
-		return func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) }
+		return func() intermittent.Policy { return intermittent.NewUndoLog() }
 	case "naive":
 		return func() intermittent.Policy { return policytest.NewNaive(policytest.DefaultNaiveConfig()) }
 	case "restart":

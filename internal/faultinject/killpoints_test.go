@@ -127,7 +127,7 @@ func TestCampaignStampsInstructionCounts(t *testing.T) {
 var stampPolicies = []func() intermittent.Policy{
 	func() intermittent.Policy { return intermittent.NewClank(intermittent.DefaultClankConfig()) },
 	func() intermittent.Policy { return intermittent.NewNVP(intermittent.DefaultNVPConfig()) },
-	func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) },
+	func() intermittent.Policy { return intermittent.NewUndoLog() },
 }
 
 // stridedStamps runs a strided campaign of n points over golden and returns

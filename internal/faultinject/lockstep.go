@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"whatsnext/internal/cpu"
+	"whatsnext/internal/intermittent"
 	"whatsnext/internal/mem"
 )
 
@@ -98,7 +99,7 @@ func campaign(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 	slices.SortStableFunc(points, func(a, b killPoint) int { return cmp.Compare(a.cycle, b.cycle) })
 	onKill := advanceInputs(inputWords)
 
-	trunk, err := newDevice(t, cfg)
+	trunk, err := newRunner(t, cfg)
 	if err != nil {
 		return fmt.Errorf("trunk: %w", err)
 	}
@@ -106,29 +107,29 @@ func campaign(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 	// O(memory size) into O(bytes touched): the first fork deep-copies,
 	// and each later kill point re-syncs that same child device by copying
 	// only what either side wrote since the previous sync.
-	trunk.m.SetDirtyTracking(true)
-	var child *device
+	trunk.Mem.SetDirtyTracking(true)
+	var child *intermittent.Runner
 	for _, kill := range points {
 		// Advance the trunk to the first instruction boundary at or past
 		// the kill cycle — exactly where a run from reset would force the
 		// failure.
-		if err := trunk.runTo(kill.cycle, cfg.Budget); err != nil {
+		if err := runTo(trunk, kill.cycle, cfg.Budget); err != nil {
 			return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
 		}
-		kill.instr = trunk.instrs
-		if trunk.c.Halted {
+		kill.instr = trunk.CPU.Stats.Instructions
+		if trunk.CPU.Halted {
 			// The boundary at/past this kill cycle is the HALT retirement:
 			// no failure is injected and the run trivially matches golden.
 			visit(kill, nil)
 			continue
 		}
 		if child == nil {
-			trunk.m.ResetDirty()
-			child = trunk.forkOnto(trunk.m.Clone())
+			trunk.Mem.ResetDirty()
+			child = forkOnto(trunk, trunk.Mem.Clone())
 		} else {
-			child = trunk.forkInto(child)
+			child = forkInto(trunk, child)
 		}
-		converged, err := child.finish(trunk, worlds[0].cycles, cfg.Budget, onKill)
+		converged, err := finish(child, trunk, worlds[0].cycles, cfg.Budget, onKill)
 		if err != nil {
 			return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
 		}
@@ -148,11 +149,11 @@ func campaign(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 // re-converges with the trunk (final memory identical to golden — clean);
 // otherwise the child has run to halt or past the budget, for the caller
 // to diff.
-func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(*mem.Memory) error) (bool, error) {
-	dist := d.policy.ReplayDistance()
-	d.r.ForceFailure()
+func finish(child, trunk *intermittent.Runner, goldenCycles, budget uint64, onKill func(*mem.Memory) error) (bool, error) {
+	dist := child.Policy.ReplayDistance()
+	child.ForceFailure()
 	if onKill != nil {
-		if err := onKill(d.m); err != nil {
+		if err := onKill(child.Mem); err != nil {
 			return false, err
 		}
 	}
@@ -161,15 +162,15 @@ func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(
 	// near the line, whether the re-executed run halts before exceeding it
 	// depends on sub-window boundaries, so defer to a full run.
 	if goldenCycles+dist+cpu.MaxInstrCycles <= budget {
-		target := d.cycles + dist
-		if err := d.runTo(target, budget); err != nil {
+		target := child.CPU.Stats.Cycles + dist
+		if err := runTo(child, target, budget); err != nil {
 			return false, err
 		}
-		if !d.c.Halted && d.cycles == target && d.converged(trunk) {
+		if !child.CPU.Halted && child.CPU.Stats.Cycles == target && converged(child, trunk) {
 			return true, nil
 		}
 	}
-	return false, d.runTo(^uint64(0), budget)
+	return false, runTo(child, ^uint64(0), budget)
 }
 
 // converged reports whether the child's architectural state and memory
@@ -179,12 +180,12 @@ func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(
 // computes. Both memories were byte-identical at the fork's last sync and
 // each side has recorded every write since, so comparing the union of the
 // two dirty extents is a full state-equality test.
-func (d *device) converged(trunk *device) bool {
-	c, tc := d.c, trunk.c
+func converged(child, trunk *intermittent.Runner) bool {
+	c, tc := child.CPU, trunk.CPU
 	if c.Regs != tc.Regs ||
 		c.N != tc.N || c.Z != tc.Z || c.C != tc.C || c.V != tc.V ||
 		c.SkimArmed != tc.SkimArmed || c.SkimTarget != tc.SkimTarget {
 		return false
 	}
-	return d.m.EqualWithin(trunk.m, d.m.Dirty().Union(trunk.m.Dirty()))
+	return child.Mem.EqualWithin(trunk.Mem, child.Mem.Dirty().Union(trunk.Mem.Dirty()))
 }

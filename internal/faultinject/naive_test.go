@@ -49,9 +49,9 @@ func fromReset(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 	if err != nil {
 		return fmt.Errorf("golden run on the policy device: %w", err)
 	}
-	if !ref.c.Halted || ref.cycles != worlds[0].cycles {
+	if !ref.CPU.Halted || ref.CPU.Stats.Cycles != worlds[0].cycles {
 		return fmt.Errorf("golden run on the policy device: halted %v after %d cycles, bare CPU %d",
-			ref.c.Halted, ref.cycles, worlds[0].cycles)
+			ref.CPU.Halted, ref.CPU.Stats.Cycles, worlds[0].cycles)
 	}
 	goldens := make([][]byte, len(worlds))
 	for i, w := range worlds {
@@ -79,11 +79,11 @@ func fromReset(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 
 // fullDiff is diff without the dirty extents: it copies the run's whole NV
 // data region and compares it against every world's, word by word.
-func fullDiff(kill killPoint, goldens [][]byte, run *device, inputWords []uint32) (*Divergence, error) {
-	if !run.c.Halted {
+func fullDiff(kill killPoint, goldens [][]byte, run *intermittent.Runner, inputWords []uint32) (*Divergence, error) {
+	if !run.CPU.Halted {
 		return &Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr}, nil
 	}
-	data, err := readData(run.m)
+	data, err := readData(run.Mem)
 	if err != nil {
 		return nil, err
 	}
@@ -139,27 +139,27 @@ const toHalt = ^uint64(0)
 // power at the first instruction boundary at or after killCycle (pure CPU
 // cycles) and then running onKill, when non-nil, on its memory. It also
 // returns the instructions the device executed before that boundary.
-func runOnce(t Target, cfg Config, killCycle uint64, onKill func(*mem.Memory) error) (*device, uint64, error) {
-	d, err := newDevice(t, cfg)
+func runOnce(t Target, cfg Config, killCycle uint64, onKill func(*mem.Memory) error) (*intermittent.Runner, uint64, error) {
+	r, err := newRunner(t, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := d.runTo(killCycle, cfg.Budget); err != nil {
+	if err := runTo(r, killCycle, cfg.Budget); err != nil {
 		return nil, 0, err
 	}
-	instr := d.instrs
-	if killCycle != toHalt && !d.c.Halted && d.cycles <= cfg.Budget {
-		d.r.ForceFailure()
+	instr := r.CPU.Stats.Instructions
+	if killCycle != toHalt && !r.CPU.Halted && r.CPU.Stats.Cycles <= cfg.Budget {
+		r.ForceFailure()
 		if onKill != nil {
-			if err := onKill(d.m); err != nil {
+			if err := onKill(r.Mem); err != nil {
 				return nil, 0, err
 			}
 		}
 	}
-	if err := d.runTo(toHalt, cfg.Budget); err != nil {
+	if err := runTo(r, toHalt, cfg.Budget); err != nil {
 		return nil, 0, err
 	}
-	return d, instr, nil
+	return r, instr, nil
 }
 
 // TestCampaignVisitsInCycleOrder: the campaign takes kill points in any

@@ -22,7 +22,7 @@ import (
 var allPolicies = map[string]func() intermittent.Policy{
 	"clank":   func() intermittent.Policy { return intermittent.NewClank(intermittent.DefaultClankConfig()) },
 	"nvp":     func() intermittent.Policy { return intermittent.NewNVP(intermittent.DefaultNVPConfig()) },
-	"undolog": func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) },
+	"undolog": func() intermittent.Policy { return intermittent.NewUndoLog() },
 	"naive":   func() intermittent.Policy { return policytest.NewNaive(policytest.DefaultNaiveConfig()) },
 	"restart": func() intermittent.Policy { return policytest.NewRestart(policytest.DefaultRestartConfig()) },
 }

@@ -29,18 +29,9 @@ func (r *Runner) Fork(c *cpu.CPU, m *mem.Memory, s *energy.Supply) *Runner {
 func (c *Clank) Fork(r *Runner) Policy {
 	n := *c
 	n.r = r
-	r.CPU.BeforeStore = func(addr uint32, size int) {
-		if r.Mem.WouldViolate(addr, size) {
-			n.takeCheckpoint()
-			n.ViolationCheckpoints++
-		}
-	}
+	r.CPU.BeforeStore = n.beforeStore
 	return &n
 }
-
-// ReplayDistance implements Policy: an outage rewinds to the live
-// checkpoint, re-executing everything since it.
-func (c *Clank) ReplayDistance() uint64 { return c.sinceCheckpoint }
 
 // Fork implements Policy. NVP keeps no per-run mutable state beyond
 // the runner binding.
@@ -67,6 +58,3 @@ func (u *UndoLog) Fork(r *Runner) Policy {
 	r.CPU.BeforeStore = n.beforeStore
 	return &n
 }
-
-// ReplayDistance implements Policy.
-func (u *UndoLog) ReplayDistance() uint64 { return u.sinceCheckpoint }

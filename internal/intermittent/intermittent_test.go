@@ -128,9 +128,9 @@ func TestCrashConsistencyProperty(t *testing.T) {
 			// average; the undo log has no violation checkpoints, so its
 			// watchdog must advance the checkpoint faster than that (see
 			// the forward-progress caveat on UndoLog).
-			cfg := DefaultUndoLogConfig()
-			cfg.WatchdogCycles = 256
-			return NewUndoLog(cfg)
+			u := NewUndoLog()
+			u.watchdog = 256
+			return u
 		},
 	}
 	for name, mk := range mkPolicy {
@@ -184,7 +184,7 @@ func TestSkimRedirectsRestore(t *testing.T) {
 	for name, p := range map[string]Policy{
 		"clank":   NewClank(DefaultClankConfig()),
 		"nvp":     NewNVP(DefaultNVPConfig()),
-		"undolog": NewUndoLog(DefaultUndoLogConfig()),
+		"undolog": NewUndoLog(),
 	} {
 		r := buildDevice(t, src, p, weak())
 		res, err := r.RunToHalt()
@@ -209,17 +209,21 @@ func TestSkimRedirectsRestore(t *testing.T) {
 
 func TestWatchdogCheckpoints(t *testing.T) {
 	// A long pure-compute loop (no NV writes) only checkpoints via the
-	// watchdog.
-	cl := NewClank(DefaultClankConfig())
+	// watchdog: after the entry checkpoint, each one follows at least
+	// WatchdogCycles and less than WatchdogCycles+MaxInstrCycles CPU cycles
+	// after the last.
+	cfg := DefaultClankConfig()
+	cl := NewClank(cfg)
 	r := buildDevice(t, watchdogProgram, cl, ample())
 	if _, err := r.RunToHalt(); err != nil {
 		t.Fatal(err)
 	}
-	if cl.WatchdogCheckpoints == 0 {
+	fired, cycles := cl.Checkpoints()-1, r.CPU.Stats.Cycles
+	if fired == 0 {
 		t.Fatal("watchdog should have fired during the long loop")
 	}
-	if cl.ViolationCheckpoints != 0 {
-		t.Fatal("no NV RMW, so no violation checkpoints expected")
+	if fired*cfg.WatchdogCycles > cycles || (fired+1)*(cfg.WatchdogCycles+cpu.MaxInstrCycles) <= cycles {
+		t.Fatalf("%d watchdog checkpoints over %d cycles: not one per %d-cycle interval", fired, cycles, cfg.WatchdogCycles)
 	}
 }
 
@@ -239,8 +243,8 @@ func TestViolationCheckpointResumePoint(t *testing.T) {
 	if _, err := r.RunToHalt(); err != nil {
 		t.Fatal(err)
 	}
-	if cl.ViolationCheckpoints != 1 {
-		t.Fatalf("violations = %d, want 1", cl.ViolationCheckpoints)
+	if n := cl.Checkpoints(); n != 2 {
+		t.Fatalf("checkpoints = %d, want 2 (entry + one violation)", n)
 	}
 	if cl.checkpoint.Regs[isa.PC] != 4*4 {
 		t.Fatalf("checkpoint PC %#x, want the STR at %#x", cl.checkpoint.Regs[isa.PC], 4*4)
@@ -333,7 +337,7 @@ func TestUndoLogRollsBack(t *testing.T) {
 		BNE loop
 		HALT
 	`
-	ul := NewUndoLog(DefaultUndoLogConfig())
+	ul := &rollbackProbe{UndoLog: NewUndoLog(), t: t}
 	r := buildDevice(t, src, ul, weak())
 	res, err := r.RunToHalt()
 	if err != nil {
@@ -342,13 +346,34 @@ func TestUndoLogRollsBack(t *testing.T) {
 	if res.Outages == 0 {
 		t.Fatal("expected outages")
 	}
-	if ul.RolledBack == 0 {
+	if ul.rollbacks == 0 {
 		t.Fatal("expected rollbacks")
 	}
 	v, _ := r.Mem.LoadWord(mem.DataBase)
 	if v != 2<<16 {
 		t.Fatalf("SUM = %d, want %d (consistent final value)", v, 2<<16)
 	}
+}
+
+// rollbackProbe is an UndoLog that checks each restore which writes logged
+// words back: the program's only NV word grows with every store, so a
+// rollback must leave it smaller than the outage left it.
+type rollbackProbe struct {
+	*UndoLog
+	t         *testing.T
+	rollbacks int
+}
+
+func (p *rollbackProbe) OnRestore() (uint32, float64) {
+	before := mustLoad(p.t, p.r.Mem, mem.DataBase)
+	c, e := p.UndoLog.OnRestore()
+	if c > restoreCycles {
+		p.rollbacks++
+		if after := mustLoad(p.t, p.r.Mem, mem.DataBase); after >= before {
+			p.t.Errorf("rollback left SUM = %d, want below the outage's %d", after, before)
+		}
+	}
+	return c, e
 }
 
 func TestUndoLogCapacityForcesCheckpoints(t *testing.T) {
@@ -365,16 +390,15 @@ func TestUndoLogCapacityForcesCheckpoints(t *testing.T) {
 		BNE loop
 		HALT
 	`
-	cfg := DefaultUndoLogConfig()
-	cfg.Entries = 16
-	cfg.WatchdogCycles = 1 << 30 // watchdog out of the picture
-	ul := NewUndoLog(cfg)
+	ul := NewUndoLog()
+	ul.capacity = 16
+	ul.watchdog = 1 << 30 // watchdog out of the picture
 	r := buildDevice(t, src, ul, ample())
 	if _, err := r.RunToHalt(); err != nil {
 		t.Fatal(err)
 	}
-	if ul.NumCheckpoints < 200/16 {
-		t.Fatalf("checkpoints = %d, want at least %d (capacity-forced)", ul.NumCheckpoints, 200/16)
+	if n := ul.Checkpoints(); n < 200/16 {
+		t.Fatalf("checkpoints = %d, want at least %d (capacity-forced)", n, 200/16)
 	}
 }
 
@@ -389,15 +413,21 @@ func TestUndoLogLogsOncePerWordPerInterval(t *testing.T) {
 		BNE loop
 		HALT
 	`
-	cfg := DefaultUndoLogConfig()
-	cfg.WatchdogCycles = 1 << 30
-	ul := NewUndoLog(cfg)
+	ul := NewUndoLog()
+	ul.watchdog = 1 << 30
 	r := buildDevice(t, src, ul, ample())
-	if _, err := r.RunToHalt(); err != nil {
+	res, err := r.RunToHalt()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ul.LoggedWords != 1 {
-		t.Fatalf("logged %d words, want 1 (dedup within the interval)", ul.LoggedWords)
+	// One checkpoint (at entry) and one log entry are all the overhead the
+	// run pays on top of its instructions.
+	if n := ul.Checkpoints(); n != 1 {
+		t.Fatalf("checkpoints = %d, want 1", n)
+	}
+	if over := res.CyclesOn - r.CPU.Stats.Cycles; over != checkpointCycles+logEntryCycles {
+		t.Fatalf("overhead %d cycles, want %d (one entry logged: dedup within the interval)",
+			over, checkpointCycles+logEntryCycles)
 	}
 }
 
@@ -405,7 +435,7 @@ func TestUndoLogLogsOncePerWordPerInterval(t *testing.T) {
 var policyMakers = map[string]func() Policy{
 	"clank":   func() Policy { return NewClank(DefaultClankConfig()) },
 	"nvp":     func() Policy { return NewNVP(DefaultNVPConfig()) },
-	"undolog": func() Policy { return NewUndoLog(DefaultUndoLogConfig()) },
+	"undolog": func() Policy { return NewUndoLog() },
 }
 
 // watchdogProgram is a pure-compute loop with no NV writes: only the

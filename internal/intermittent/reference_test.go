@@ -79,26 +79,26 @@ func runReference(r *Runner, onStep func(cyclesOn uint64)) (Result, error) {
 // proof; they are charged through one-instruction BatchWindow calls.
 func stepCharge(r *Runner, cost cpu.Cost) (uint32, float64) {
 	switch p := r.Policy.(type) {
-	case *Clank:
-		p.sinceCheckpoint += uint64(cost.Cycles)
-		if p.sinceCheckpoint >= p.cfg.WatchdogCycles {
+	case rollbackPolicy:
+		b := p.core()
+		b.since += uint64(cost.Cycles)
+		if b.since >= b.watchdog {
 			p.takeCheckpoint()
-			p.WatchdogCheckpoints++
 		}
-		ec, ee := p.pendingOverheadC, p.pendingOverheadE
-		p.pendingOverheadC, p.pendingOverheadE = 0, 0
+		ec, ee := b.pendingC, b.pendingE
+		b.pendingC, b.pendingE = 0, 0
 		return ec, ee
 	case *NVP:
 		return 0, float64(cost.Cycles) * p.cfg.BackupEnergyFactor * r.Supply.Config().EnergyPerCycle
-	case *UndoLog:
-		p.sinceCheckpoint += uint64(cost.Cycles)
-		if p.sinceCheckpoint >= p.cfg.WatchdogCycles {
-			p.takeCheckpoint()
-		}
-		ec, ee := p.pendingC, p.pendingE
-		p.pendingC, p.pendingE = 0, 0
-		return ec, ee
 	}
 	first, last := r.Policy.BatchWindow(uint64(cost.Cycles))
 	return first.Cycles + last.Cycles, first.Energy + last.Energy
 }
+
+// rollbackPolicy is a policy built on the rollback core: Clank and UndoLog.
+type rollbackPolicy interface {
+	core() *rollback
+	takeCheckpoint()
+}
+
+func (b *rollback) core() *rollback { return b }

@@ -1,5 +1,5 @@
 // Package intermittent implements the two forward-progress runtimes the
-// paper evaluates WN on:
+// paper evaluates WN on, and an undo-log runtime beyond it:
 //
 //   - Clank: a checkpoint-based volatile processor. Volatile register state
 //     is checkpointed to non-volatile memory when a watchdog interval
@@ -11,7 +11,14 @@
 //     every cycle (modeled as a per-cycle energy surcharge). After an
 //     outage it resumes in place with no re-execution.
 //
-// Both runtimes honor skim points: if the non-volatile skim register was
+//   - UndoLog: a volatile processor that logs the old value of every NV
+//     word before its first store since the checkpoint, and rolls the log
+//     back after an outage before re-executing.
+//
+// Clank and the undo log share one rollback core (rollback.go): the
+// checkpoint, its watchdog and costs, and restore-then-replay.
+//
+// All three runtimes honor skim points: if the non-volatile skim register was
 // armed by an SKM instruction, the restore path jumps to the armed target —
 // decoupling the backup location from the restore location — so the
 // application takes its current approximate result as-is and moves on.
@@ -35,7 +42,7 @@ import (
 // each policy as the oracle for the windowed one. Fork and ReplayDistance
 // serve the lockstep fault injector.
 type Policy interface {
-	// Name identifies the policy ("clank", "nvp").
+	// Name identifies the policy ("clank", "nvp", "undolog").
 	Name() string
 	// Attach binds the policy to a device and resets its state.
 	Attach(r *Runner)
@@ -151,8 +158,8 @@ func (r *Runner) ForceFailure() {
 // Batched-executor window sizing. batchSlack keeps a window clear of the
 // brown-out threshold: cpu.Run overshoots its budget by less than
 // cpu.MaxInstrCycles, and the window's first instruction may carry one
-// pending checkpoint (~40 cycles plus 17 NV-word writes) accrued just
-// before the window. 64 cycles of worst-case drain covers both with
+// pending checkpoint (checkpointCycles plus checkpointNVWords NV writes)
+// accrued just before the window. 64 cycles of worst-case drain covers both with
 // margin, so only a window's final instruction can brown out. minBatch is
 // the smallest window worth entering the batched executor for; below it
 // the runner single-steps.
@@ -291,13 +298,6 @@ func (r *Runner) RunToHalt() (Result, error) {
 		forceStep = batch.Reason == cpu.StopStore
 	}
 	return r.result(startOn, startOff, startOut, startDrawn, startInst), nil
-}
-
-// takeOverhead drains a policy's pending-overhead accumulators.
-func takeOverhead(cycles *uint32, joules *float64) energy.Overhead {
-	o := energy.Overhead{Cycles: *cycles, Energy: *joules}
-	*cycles, *joules = 0, 0
-	return o
 }
 
 func (r *Runner) result(startOn, startOff, startOut uint64, startDrawn float64, startInst uint64) Result {

@@ -25,7 +25,7 @@ func TestBatchedIntermittentMatchesReference(t *testing.T) {
 	}{
 		{"clank", func() Policy { return NewClank(DefaultClankConfig()) }},
 		{"nvp", func() Policy { return NewNVP(DefaultNVPConfig()) }},
-		{"undolog", func() Policy { return NewUndoLog(DefaultUndoLogConfig()) }},
+		{"undolog", func() Policy { return NewUndoLog() }},
 	}
 	for _, b := range workloads.All() {
 		p := b.ScaledParams()

@@ -1,42 +1,21 @@
 package intermittent
 
 import (
-	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
 	"whatsnext/internal/mem"
 )
 
-// UndoLogConfig parameterizes the undo-logging volatile-processor runtime.
-type UndoLogConfig struct {
-	// Entries is the non-volatile undo-log capacity in word entries; a
-	// full log forces a checkpoint (which truncates it).
-	Entries int
-	// WatchdogCycles bounds re-execution like Clank's watchdog.
-	WatchdogCycles uint64
-	// CheckpointCycles / CheckpointNVWords / RestoreCycles as in Clank.
-	CheckpointCycles  uint32
-	CheckpointNVWords int
-	RestoreCycles     uint32
-	// LogEntryCycles is the cost of appending one undo entry (read the old
-	// word + write addr/value to the NV log).
-	LogEntryCycles uint32
-	// LogEntryNVWords is the NV write count per appended entry.
-	LogEntryNVWords int
-}
-
-// DefaultUndoLogConfig mirrors software undo-logging systems (DINO-style):
-// a modest NV log and Clank-equivalent checkpoint costs.
-func DefaultUndoLogConfig() UndoLogConfig {
-	return UndoLogConfig{
-		Entries:           64,
-		WatchdogCycles:    4096,
-		CheckpointCycles:  40,
-		CheckpointNVWords: 17,
-		RestoreCycles:     40,
-		LogEntryCycles:    6,
-		LogEntryNVWords:   2,
-	}
-}
+// The undo log's parameters, after software undo-logging systems
+// (DINO-style): a modest NV log and a watchdog that bounds re-execution.
+// Appending an entry reads the old word and writes address and value to the
+// NV log.
+const (
+	undoLogEntries   = 64
+	undoLogWatchdog  = 4096
+	logEntryCycles   = 6
+	logEntryNVWords  = 2
+	rollbackWordCost = 2 // cycles to write one logged word back
+)
 
 type undoEntry struct {
 	addr uint32
@@ -52,42 +31,32 @@ type undoEntry struct {
 //
 // Forward-progress caveat: unlike Clank, whose violation checkpoints fall
 // naturally inside read-modify-write loops, the undo log advances its
-// checkpoint only at the watchdog or when the log fills. WatchdogCycles
-// must therefore be set below the expected outage interval, or a workload
+// checkpoint only at the watchdog or when the log fills. The watchdog must
+// therefore fire well inside the expected outage interval, or a workload
 // that touches few distinct words re-executes the same window forever.
 type UndoLog struct {
-	cfg UndoLogConfig
-	r   *Runner
-
-	checkpoint      cpu.Snapshot
-	log             []undoEntry // modeled as non-volatile
-	logged          map[uint32]struct{}
-	sinceCheckpoint uint64
-	pendingC        uint32
-	pendingE        float64
-
-	NumCheckpoints uint64
-	LoggedWords    uint64
-	RolledBack     uint64
+	rollback
+	log      []undoEntry // modeled as non-volatile
+	logged   map[uint32]struct{}
+	capacity int // log entries; a full log forces a checkpoint
 }
 
 // NewUndoLog builds the policy.
-func NewUndoLog(cfg UndoLogConfig) *UndoLog {
-	return &UndoLog{cfg: cfg, logged: map[uint32]struct{}{}}
+func NewUndoLog() *UndoLog {
+	return &UndoLog{
+		rollback: rollback{watchdog: undoLogWatchdog},
+		logged:   map[uint32]struct{}{},
+		capacity: undoLogEntries,
+	}
 }
 
 // Name implements Policy.
 func (u *UndoLog) Name() string { return "undolog" }
 
-// Checkpoints implements Policy.
-func (u *UndoLog) Checkpoints() uint64 { return u.NumCheckpoints }
-
 // Attach implements Policy.
 func (u *UndoLog) Attach(r *Runner) {
 	u.r = r
 	r.Mem.SetTracking(false)
-	u.log = u.log[:0]
-	clear(u.logged)
 	r.CPU.BeforeStore = u.beforeStore
 	u.takeCheckpoint()
 }
@@ -105,7 +74,7 @@ func (u *UndoLog) beforeStore(addr uint32, size int) {
 		if _, dup := u.logged[wa]; dup {
 			continue
 		}
-		if len(u.log) >= u.cfg.Entries {
+		if len(u.log) >= u.capacity {
 			// Log full: checkpoint truncates it, making current memory the
 			// new rollback target.
 			u.takeCheckpoint()
@@ -116,48 +85,33 @@ func (u *UndoLog) beforeStore(addr uint32, size int) {
 		}
 		u.log = append(u.log, undoEntry{addr: wa, old: old})
 		u.logged[wa] = struct{}{}
-		u.LoggedWords++
-		u.pendingC += u.cfg.LogEntryCycles
-		u.pendingE += float64(u.cfg.LogEntryNVWords) * u.r.Supply.Config().NVWriteEnergy
+		u.pendingC += logEntryCycles
+		u.pendingE += float64(logEntryNVWords) * u.r.Supply.Config().NVWriteEnergy
 	}
 }
 
+// takeCheckpoint snapshots volatile state and truncates the log, making
+// current memory the rollback target.
 func (u *UndoLog) takeCheckpoint() {
-	u.checkpoint = u.r.CPU.Snapshot()
+	u.snapshot()
+	u.truncate()
+}
+
+func (u *UndoLog) truncate() {
 	u.log = u.log[:0]
 	clear(u.logged)
-	u.sinceCheckpoint = 0
-	u.NumCheckpoints++
-	u.pendingC += u.cfg.CheckpointCycles
-	u.pendingE += float64(u.cfg.CheckpointNVWords) * u.r.Supply.Config().NVWriteEnergy
 }
 
-// BatchHorizon implements Policy: like Clank, the watchdog bounds a batch;
+// BatchWindow implements Policy: the watchdog advances by the whole window;
 // log appends happen only under the store hook, which the batched executor
 // routes through Step.
-func (u *UndoLog) BatchHorizon() (uint64, float64) {
-	if u.sinceCheckpoint >= u.cfg.WatchdogCycles {
-		return 0, 0
-	}
-	return u.cfg.WatchdogCycles - u.sinceCheckpoint, 0
-}
-
-// BatchWindow implements Policy: the watchdog advances by the whole window.
 func (u *UndoLog) BatchWindow(cycles uint64) (first, last energy.Overhead) {
-	first = takeOverhead(&u.pendingC, &u.pendingE)
-	u.sinceCheckpoint += cycles
-	if u.sinceCheckpoint >= u.cfg.WatchdogCycles {
+	first = u.drain()
+	if u.advance(cycles) {
 		u.takeCheckpoint()
-		last = takeOverhead(&u.pendingC, &u.pendingE)
+		last = u.drain()
 	}
 	return first, last
-}
-
-// OnOutage implements Policy: volatile state is lost; the NV undo log
-// survives.
-func (u *UndoLog) OnOutage() {
-	u.r.CPU.PowerLoss()
-	u.r.Mem.PowerLoss()
 }
 
 // OnRestore implements Policy. With a skim point armed, the result is
@@ -167,25 +121,19 @@ func (u *UndoLog) OnOutage() {
 // newest-first so re-execution from the register checkpoint observes
 // exactly the checkpoint-time memory.
 func (u *UndoLog) OnRestore() (uint32, float64) {
-	cost := u.cfg.RestoreCycles
+	cost := uint32(restoreCycles)
 	var rolled int
-	if u.r.CPU.SkimArmed {
-		u.r.CPU.Restore(u.checkpoint)
-		u.r.ConsumeSkim()
-	} else {
+	if !u.r.CPU.SkimArmed {
 		for i := len(u.log) - 1; i >= 0; i-- {
 			e := u.log[i]
 			// Rollback writes cannot fail: the addresses were valid when
 			// logged and memory never shrinks.
 			_ = u.r.Mem.StoreWord(e.addr, e.old)
-			u.RolledBack++
-			cost += 2
+			cost += rollbackWordCost
 		}
 		rolled = len(u.log)
-		u.r.CPU.Restore(u.checkpoint)
 	}
-	u.log = u.log[:0]
-	clear(u.logged)
-	u.sinceCheckpoint = 0
+	u.truncate()
+	u.restore()
 	return cost, float64(rolled) * u.r.Supply.Config().NVWriteEnergy
 }

@@ -10,11 +10,17 @@ import (
 // undoHarness builds a powered device with an UndoLog policy attached and
 // no program beyond HALT: the tests below drive the policy hooks directly
 // to pin down the log's edge-case semantics.
-func undoHarness(t *testing.T, cfg UndoLogConfig) (*UndoLog, *Runner) {
+func undoHarness(t *testing.T) (*UndoLog, *Runner) {
 	t.Helper()
-	u := NewUndoLog(cfg)
+	u := NewUndoLog()
 	r := buildDevice(t, "\tHALT\n", u, ample())
 	return u, r
+}
+
+// restoredWords is how many logged words the last forced failure wrote
+// back, read off the restore cost it charged.
+func restoredWords(r *Runner) uint32 {
+	return (r.pendingCycles - restoreCycles) / rollbackWordCost
 }
 
 func mustStore(t *testing.T, m *mem.Memory, addr, v uint32) {
@@ -36,7 +42,7 @@ func mustLoad(t *testing.T, m *mem.Memory, addr uint32) uint32 {
 // A second store to an already-logged word must not append a second entry:
 // rollback targets the checkpoint-time value, not intermediate ones.
 func TestUndoLogDoubleAdd(t *testing.T) {
-	u, r := undoHarness(t, DefaultUndoLogConfig())
+	u, r := undoHarness(t)
 	addr := uint32(mem.DataBase)
 	mustStore(t, r.Mem, addr, 111)
 
@@ -45,8 +51,8 @@ func TestUndoLogDoubleAdd(t *testing.T) {
 	u.beforeStore(addr, 4)
 	mustStore(t, r.Mem, addr, 333)
 
-	if u.LoggedWords != 1 {
-		t.Fatalf("LoggedWords = %d, want 1 (second add of the same word is a no-op)", u.LoggedWords)
+	if len(u.log) != 1 {
+		t.Fatalf("log holds %d entries, want 1 (second add of the same word is a no-op)", len(u.log))
 	}
 	// A forced power failure rolls the word back to the checkpoint-time
 	// value exactly once.
@@ -54,17 +60,16 @@ func TestUndoLogDoubleAdd(t *testing.T) {
 	if got := mustLoad(t, r.Mem, addr); got != 111 {
 		t.Fatalf("after rollback word = %d, want the checkpoint-time 111", got)
 	}
-	if u.RolledBack != 1 {
-		t.Fatalf("RolledBack = %d, want 1", u.RolledBack)
+	if n := restoredWords(r); n != 1 {
+		t.Fatalf("restore wrote back %d words, want 1", n)
 	}
 }
 
 // Filling the log forces a checkpoint, which commits everything logged so
 // far: only words touched after the forced checkpoint roll back.
 func TestUndoLogCapacityOverflow(t *testing.T) {
-	cfg := DefaultUndoLogConfig()
-	cfg.Entries = 2
-	u, r := undoHarness(t, cfg)
+	u, r := undoHarness(t)
+	u.capacity = 2
 	a, b, c := uint32(mem.DataBase), uint32(mem.DataBase+4), uint32(mem.DataBase+8)
 	mustStore(t, r.Mem, a, 1)
 	mustStore(t, r.Mem, b, 2)
@@ -74,14 +79,14 @@ func TestUndoLogCapacityOverflow(t *testing.T) {
 	mustStore(t, r.Mem, a, 10)
 	u.beforeStore(b, 4)
 	mustStore(t, r.Mem, b, 20)
-	if u.NumCheckpoints != 1 { // the Attach-time checkpoint only
-		t.Fatalf("NumCheckpoints = %d before overflow, want 1", u.NumCheckpoints)
+	if n := u.Checkpoints(); n != 1 { // the Attach-time checkpoint only
+		t.Fatalf("Checkpoints = %d before overflow, want 1", n)
 	}
 
 	u.beforeStore(c, 4) // log is full: forces a checkpoint, then logs c
 	mustStore(t, r.Mem, c, 30)
-	if u.NumCheckpoints != 2 {
-		t.Fatalf("NumCheckpoints = %d after overflow, want 2", u.NumCheckpoints)
+	if n := u.Checkpoints(); n != 2 {
+		t.Fatalf("Checkpoints = %d after overflow, want 2", n)
 	}
 
 	r.ForceFailure()
@@ -94,40 +99,39 @@ func TestUndoLogCapacityOverflow(t *testing.T) {
 	if got := mustLoad(t, r.Mem, c); got != 3 {
 		t.Errorf("word c = %d, want 3 (rolled back)", got)
 	}
-	if u.RolledBack != 1 {
-		t.Errorf("RolledBack = %d, want 1 (only the post-checkpoint word)", u.RolledBack)
+	if n := restoredWords(r); n != 1 {
+		t.Errorf("restore wrote back %d words, want 1 (only the post-checkpoint word)", n)
 	}
 }
 
 // A watchdog checkpoint truncates the log: an outage after it must not
 // undo writes the checkpoint already committed.
 func TestUndoLogWipeOnCheckpoint(t *testing.T) {
-	cfg := DefaultUndoLogConfig()
-	cfg.WatchdogCycles = 100
-	u, r := undoHarness(t, cfg)
+	u, r := undoHarness(t)
+	u.watchdog = 100
 	addr := uint32(mem.DataBase)
 	mustStore(t, r.Mem, addr, 7)
 
 	u.beforeStore(addr, 4)
 	mustStore(t, r.Mem, addr, 70)
 	u.BatchWindow(200) // trips the watchdog: checkpoint + wipe
-	if u.NumCheckpoints != 2 {
-		t.Fatalf("NumCheckpoints = %d, want 2 (attach + watchdog)", u.NumCheckpoints)
+	if n := u.Checkpoints(); n != 2 {
+		t.Fatalf("Checkpoints = %d, want 2 (attach + watchdog)", n)
 	}
 
 	r.ForceFailure()
 	if got := mustLoad(t, r.Mem, addr); got != 70 {
 		t.Fatalf("word = %d, want 70 (the watchdog checkpoint committed it)", got)
 	}
-	if u.RolledBack != 0 {
-		t.Fatalf("RolledBack = %d, want 0 (log was wiped by the checkpoint)", u.RolledBack)
+	if n := restoredWords(r); n != 0 {
+		t.Fatalf("restore wrote back %d words, want 0 (log was wiped by the checkpoint)", n)
 	}
 }
 
 // With a skim point armed, restore truncates the log without rollback and
 // resumes at the skim target: the approximate result is taken as-is.
 func TestUndoLogSkimTruncates(t *testing.T) {
-	u, r := undoHarness(t, DefaultUndoLogConfig())
+	u, r := undoHarness(t)
 	addr := uint32(mem.DataBase)
 	mustStore(t, r.Mem, addr, 5)
 
@@ -140,8 +144,8 @@ func TestUndoLogSkimTruncates(t *testing.T) {
 	if got := mustLoad(t, r.Mem, addr); got != 50 {
 		t.Fatalf("word = %d, want 50 (skim restore must not roll back)", got)
 	}
-	if u.RolledBack != 0 {
-		t.Fatalf("RolledBack = %d, want 0", u.RolledBack)
+	if n := restoredWords(r); n != 0 {
+		t.Fatalf("restore wrote back %d words, want 0", n)
 	}
 	if pc := r.CPU.Regs[isa.PC]; pc != 0x40 {
 		t.Fatalf("PC = %#x, want the skim target 0x40", pc)

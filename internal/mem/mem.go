@@ -589,17 +589,19 @@ func (m *Memory) LoadProgram(image []byte) error {
 // is zeroed by LoadProgram and shares a single invalid-word sentinel.
 func (m *Memory) ProgramBytes() int { return m.progLen }
 
-// WriteData bulk-copies bytes into the non-volatile data region at addr,
-// bypassing tracking. Used by harnesses to install benchmark inputs.
-func (m *Memory) WriteData(addr uint32, b []byte) error {
-	if !inRegion(addr, DataBase, len(m.data)) || int(addr-DataBase)+len(b) > len(m.data) {
-		return &AccessError{Addr: addr, Size: len(b), Write: true, Msg: "bulk write out of data region"}
+// DataWindow returns the n bytes of the non-volatile data region at addr,
+// for a harness to encode inputs into or decode outputs from in place,
+// bypassing tracking. The caller may write through the window, so with
+// dirty tracking on the whole window is marked dirty.
+func (m *Memory) DataWindow(addr uint32, n int) ([]byte, error) {
+	if !inRegion(addr, DataBase, len(m.data)) || int(addr-DataBase)+n > len(m.data) {
+		return nil, &AccessError{Addr: addr, Size: n, Write: true, Msg: "bulk access out of data region"}
 	}
-	if m.trackDirty && len(b) > 0 {
-		m.noteDirty(addr, len(b))
+	if m.trackDirty && n > 0 {
+		m.noteDirty(addr, n)
 	}
-	copy(m.data[addr-DataBase:], b)
-	return nil
+	off := int(addr - DataBase)
+	return m.data[off : off+n : off+n], nil
 }
 
 // ReadData bulk-copies len(b) bytes out of the non-volatile data region,

@@ -154,9 +154,11 @@ func TestReadAfterOwnWriteIsNotViolation(t *testing.T) {
 func TestBulkDataTransfer(t *testing.T) {
 	m := newMem(t)
 	src := []byte{1, 2, 3, 4, 5}
-	if err := m.WriteData(DataBase+16, src); err != nil {
+	w, err := m.DataWindow(DataBase+16, len(src))
+	if err != nil {
 		t.Fatal(err)
 	}
+	copy(w, src)
 	dst := make([]byte, 5)
 	if err := m.ReadData(DataBase+16, dst); err != nil {
 		t.Fatal(err)
@@ -166,8 +168,8 @@ func TestBulkDataTransfer(t *testing.T) {
 			t.Fatalf("bulk round trip byte %d: %d != %d", i, dst[i], src[i])
 		}
 	}
-	if err := m.WriteData(SRAMBase, src); err == nil {
-		t.Error("bulk writes outside the data region must fail")
+	if _, err := m.DataWindow(SRAMBase, len(src)); err == nil {
+		t.Error("a window outside the data region must fail")
 	}
 	if err := m.ReadData(DataBase+uint32(m.Config().DataBytes)-2, dst); err == nil {
 		t.Error("bulk read past the end must fail")

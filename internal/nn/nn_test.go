@@ -185,7 +185,7 @@ var nnRuntimes = []struct {
 }{
 	{"clank", func() intermittent.Policy { return intermittent.NewClank(intermittent.DefaultClankConfig()) }},
 	{"nvp", func() intermittent.Policy { return intermittent.NewNVP(intermittent.DefaultNVPConfig()) }},
-	{"undolog", func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) }},
+	{"undolog", func() intermittent.Policy { return intermittent.NewUndoLog() }},
 	{"restart", func() intermittent.Policy { return policytest.NewRestart(policytest.DefaultRestartConfig()) }},
 	{"naive", func() intermittent.Policy { return policytest.NewNaive(policytest.DefaultNaiveConfig()) }},
 }
