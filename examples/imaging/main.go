@@ -61,7 +61,7 @@ func main() {
 
 	// Conventional build at the budget: the frame is cut off mid-scan.
 	m := runForImage(precise, in, budget)
-	px, err := precise.Layout.OutputValues(m, b.Output)
+	px, err := precise.Layout.AppendOutputValues(nil, m, b.Output)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func main() {
 			log.Fatal(err)
 		}
 		m := runForImage(wn, in, budget)
-		px, err := wn.Layout.OutputValues(m, b.Output)
+		px, err := wn.Layout.AppendOutputValues(nil, m, b.Output)
 		if err != nil {
 			log.Fatal(err)
 		}

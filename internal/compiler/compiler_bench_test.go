@@ -97,16 +97,19 @@ func BenchmarkLayoutInstall(b *testing.B) {
 	}
 }
 
-// BenchmarkLayoutExtract measures reading one planar array back out.
+// BenchmarkLayoutExtract measures reading one planar array back out into a
+// reused buffer, as the quality samplers do.
 func BenchmarkLayoutExtract(b *testing.B) {
 	l, m, vals := benchPlanar(b)
 	if err := l.Install(m, "A", vals); err != nil {
 		b.Fatal(err)
 	}
+	var buf []int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Extract(m, "A"); err != nil {
+		var err error
+		if buf, err = l.AppendExtract(buf[:0], m, "A"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,7 +139,7 @@ func TestInstallExtractRowMajorRoundTrip(t *testing.T) {
 		if err := l.Install(m, a.Name, vals); err != nil {
 			t.Fatal(err)
 		}
-		got, err := l.Extract(m, a.Name)
+		got, err := l.AppendExtract(nil, m, a.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestPlanarRoundTripProperty(t *testing.T) {
 				if string(got) != string(want) {
 					t.Fatalf("%+v len %d/%d: Install bytes\n got %x\nwant %x", cfg, k, n, got, want)
 				}
-				out, err := l.Extract(m, "A")
+				out, err := l.AppendExtract(nil, m, "A")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +295,7 @@ func TestPlanarRoundTripProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng.Read(raw)
-			out, err := l.Extract(m, "A")
+			out, err := l.AppendExtract(nil, m, "A")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func runOnSim(t *testing.T, c *Compiled, inputs map[string][]int64) *mem.Memory 
 func compareAllArrays(t *testing.T, label string, c *Compiled, m *mem.Memory, want map[string][]int64) {
 	t.Helper()
 	for _, a := range c.Kernel.Arrays {
-		got, err := c.Layout.Extract(m, a.Name)
+		got, err := c.Layout.AppendExtract(nil, m, a.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

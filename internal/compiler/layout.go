@@ -3,6 +3,7 @@ package compiler
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"whatsnext/internal/mem"
 )
@@ -237,65 +238,63 @@ func encodePlanar(al *ArrayLayout, vals []int64, buf []byte) {
 	}
 }
 
-// Extract reads element values back out of memory, reconstructing planar
-// arrays by summing lanes at their subword positions — the carry-aware
-// reconstruction that makes provisioned vectorization exact.
-func (l *Layout) Extract(m *mem.Memory, name string) ([]int64, error) {
+// AppendOutputValues appends output array name's elements, read back out
+// of memory and scaled by its PostShift into the display domain of the
+// quality metrics, to dst and returns the extended slice. Planar arrays are
+// reconstructed by summing lanes at their subword positions — the
+// carry-aware reconstruction that makes provisioned vectorization exact. A
+// caller that scores many samples passes its buffer back as dst[:0], so
+// decoding allocates only while the buffer grows.
+func (l *Layout) AppendOutputValues(dst []float64, m *mem.Memory, name string) ([]float64, error) {
+	// An unknown name reads a zero shift here and fails in appendElems.
+	return appendElems(l, dst, m, name, l.Arrays[name].Array.PostShift)
+}
+
+// appendElems appends array name's elements, in element order, each
+// shifted right by shift, to dst. On error dst comes back unchanged.
+func appendElems[T int64 | float64](l *Layout, dst []T, m *mem.Memory, name string, shift int) ([]T, error) {
 	al, err := l.Of(name)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	buf, err := m.DataWindow(al.Base, al.TotalBytes)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	vals := make([]int64, al.Array.Len)
-	if al.Planar {
-		// Sum each plane's lanes into the elements at the plane's subword
-		// position (uint64 wraparound is order-independent), then truncate
-		// to the element width.
-		b, lb, lpw := al.Array.SubwordBits, al.LaneBits, al.LanesPerWord()
-		laneMask := uint32(elemMask(lb))
-		for sub := 0; sub < al.NumPlanes; sub++ {
-			shift := b * sub
-			plane := buf[al.PlaneForSub(sub)*al.PlaneBytes:]
-			for w := 0; w*lpw < len(vals); w++ {
-				cur := binary.LittleEndian.Uint32(plane[4*w:])
-				lanes := vals[w*lpw : min((w+1)*lpw, len(vals))]
-				for lane := range lanes {
-					lanes[lane] += int64(uint64(cur&laneMask) << shift)
-					cur >>= lb
-				}
-			}
-		}
-		elem := elemMask(al.Array.ElemBits)
-		for i, v := range vals {
-			vals[i] = int64(uint64(v) & elem)
-		}
-	} else {
+	n := al.Array.Len
+	dst = slices.Grow(dst, n)
+	if !al.Planar {
 		eb := al.ElemBytes()
-		for i := range vals {
+		for i := 0; i < n; i++ {
 			var u uint64
 			for bb := 0; bb < eb; bb++ {
 				u |= uint64(buf[i*eb+bb]) << (8 * bb)
 			}
-			vals[i] = int64(u)
+			dst = append(dst, T(u>>shift))
+		}
+		return dst, nil
+	}
+	// One word of every plane holds the lanes of the same lpw elements. Sum
+	// each element's lanes at their planes' subword positions (uint64
+	// wraparound is order-independent), then truncate to the element width.
+	b, lb, lpw := al.Array.SubwordBits, al.LaneBits, al.LanesPerWord()
+	laneMask := uint32(elemMask(lb))
+	elem := elemMask(al.Array.ElemBits)
+	var acc [32]uint64 // lpw <= 32
+	for w := 0; w*lpw < n; w++ {
+		lanes := acc[:min(lpw, n-w*lpw)]
+		clear(lanes)
+		for sub := 0; sub < al.NumPlanes; sub++ {
+			pos := b * sub
+			cur := binary.LittleEndian.Uint32(buf[al.PlaneForSub(sub)*al.PlaneBytes+4*w:])
+			for lane := range lanes {
+				lanes[lane] += uint64(cur&laneMask) << pos
+				cur >>= lb
+			}
+		}
+		for _, v := range lanes {
+			dst = append(dst, T((v&elem)>>shift))
 		}
 	}
-	return vals, nil
-}
-
-// OutputValues extracts an output array and applies its PostShift scaling,
-// returning display-domain values for quality metrics.
-func (l *Layout) OutputValues(m *mem.Memory, name string) ([]float64, error) {
-	raw, err := l.Extract(m, name)
-	if err != nil {
-		return nil, err
-	}
-	al := l.Arrays[name]
-	out := make([]float64, len(raw))
-	for i, v := range raw {
-		out[i] = float64(uint64(v) >> al.Array.PostShift)
-	}
-	return out, nil
+	return dst, nil
 }

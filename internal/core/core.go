@@ -173,7 +173,7 @@ func (s *System) Output(name string) ([]float64, error) {
 	if s.compiled == nil {
 		return nil, fmt.Errorf("core: no kernel loaded")
 	}
-	return s.compiled.Layout.OutputValues(s.Mem, name)
+	return s.compiled.Layout.AppendOutputValues(nil, s.Mem, name)
 }
 
 // ContinuousTrace returns a trace with ample constant power: the device

@@ -174,7 +174,6 @@ loop:
 			}
 			instrAcc += runs * tb.instrs
 			amenAcc += runs * tb.amen
-			c.sbInstrs += runs * tb.instrs
 			if faultIdx >= 0 {
 				// A body memory access faulted at index faultIdx. Account the
 				// executed prefix from the decode cache, plus the faulting

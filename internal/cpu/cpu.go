@@ -73,9 +73,6 @@ type CPU struct {
 	trans       *translation  // lazily built superblock translation
 	sbErr       error         // fault raised inside a slot closure
 	sbAdj       uint64        // memo fast-hit cycle discount; zero between instructions
-	// sbInstrs counts the instructions Run has retired through fused
-	// blocks, so tests can check how much of a run the superblocks carry.
-	sbInstrs uint64
 }
 
 // decoded is one predecoded instruction slot: the decoded form, its cycle

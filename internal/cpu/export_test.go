@@ -6,9 +6,31 @@ import "whatsnext/internal/isa"
 // cpu_test package.
 func (c *CPU) ReferenceStep() (Cost, error) { return c.refStep() }
 
-// FusedInstructions reports how many instructions Run has retired through
-// fused superblocks rather than one slot at a time.
-func (c *CPU) FusedInstructions() uint64 { return c.sbInstrs }
+// CountSlotRuns wraps the closure of every decode-cache slot in a counter
+// of the instructions Run executes one slot at a time, and returns the
+// counter. It builds the translation first, so fused blocks keep the
+// closures they were built from and are not counted. HALT and SKM slots
+// have no closure: Run stops right after each (StopHalt, StopSkim), so the
+// caller counts those stops.
+func (c *CPU) CountSlotRuns() (*uint64, error) {
+	if err := c.ensureDecodeCache(); err != nil {
+		return nil, err
+	}
+	if c.trans == nil {
+		c.buildTranslation()
+	}
+	n := new(uint64)
+	for i := range c.decodeCache {
+		d := &c.decodeCache[i]
+		if exec := d.exec; exec != nil {
+			d.exec = func(c *CPU) bool { *n++; return exec(c) }
+		}
+		if term := d.term; term != nil {
+			d.term = func(c *CPU) (uint32, uint32) { *n++; return term(c) }
+		}
+	}
+	return n, nil
+}
 
 // RunUntil is Run with an empty translation: every instruction runs through
 // its slot's closure one at a time, with the same stop reasons, overshoot

@@ -18,7 +18,8 @@ import (
 // sweep exhaustively: the value of skim points themselves, the watchdog
 // interval of the Clank runtime, the storage capacitor size, and the memo
 // table capacity (the paper's footnote: "more entries only provides modest
-// additional improvements"). Each sweep point is an independent sweep job.
+// additional improvements"). Each sweep point is an independent sweep job;
+// the jobs of one study share their harvest trace.
 
 // SkimAblationRow compares a WN build with and without skim points under
 // harvested power.
@@ -35,6 +36,7 @@ type SkimAblationRow struct {
 // no skim point the application must always run to the precise result, so
 // the anytime passes become pure overhead.
 func SkimAblation(proto Protocol) ([]SkimAblationRow, error) {
+	batch := &batchTable{}
 	var jobs []sweep.Job
 	for _, b := range workloads.All() {
 		p := proto.params(b)
@@ -49,7 +51,7 @@ func SkimAblation(proto Protocol) ([]SkimAblationRow, error) {
 				InputSeed:  1,
 				Params:     specParams(p),
 			},
-			Run: func() (any, error) { return runSkimAblation(b, p) },
+			Run: func() (any, error) { return runSkimAblation(batch, b, p) },
 		})
 	}
 	rows, err := runSweep[SkimAblationRow](proto.runner(), jobs)
@@ -59,7 +61,7 @@ func SkimAblation(proto Protocol) ([]SkimAblationRow, error) {
 	return rows, nil
 }
 
-func runSkimAblation(b *workloads.Benchmark, p workloads.Params) (SkimAblationRow, error) {
+func runSkimAblation(batch *batchTable, b *workloads.Benchmark, p workloads.Params) (SkimAblationRow, error) {
 	in := b.Inputs(p, 1)
 	golden := b.Golden(p, in)
 
@@ -78,7 +80,7 @@ func runSkimAblation(b *workloads.Benchmark, p workloads.Params) (SkimAblationRo
 	}
 
 	run := func(c *compiler.Compiled) (uint64, []float64, error) {
-		sys := intermittentSystem(core.ProcClank, wifiTrace(77))
+		sys := intermittentSystem(core.ProcClank, batch.trace(77))
 		if err := sys.Load(c); err != nil {
 			return 0, nil, err
 		}
@@ -140,6 +142,7 @@ func (r WatchdogRow) SimulatedCycles() uint64 { return r.PreciseCycles }
 func WatchdogSweep(proto Protocol, intervals []uint64) ([]WatchdogRow, error) {
 	b := workloads.Var()
 	p := proto.params(b)
+	batch := &batchTable{}
 	var jobs []sweep.Job
 	for _, wd := range intervals {
 		jobs = append(jobs, sweep.Job{
@@ -153,7 +156,7 @@ func WatchdogSweep(proto Protocol, intervals []uint64) ([]WatchdogRow, error) {
 				InputSeed:  1,
 				Params:     specParams(p, "watchdog_cycles", fmt.Sprint(wd)),
 			},
-			Run: func() (any, error) { return runWatchdogPoint(b, p, wd) },
+			Run: func() (any, error) { return runWatchdogPoint(batch, b, p, wd) },
 		})
 	}
 	rows, err := runSweep[WatchdogRow](proto.runner(), jobs)
@@ -163,7 +166,7 @@ func WatchdogSweep(proto Protocol, intervals []uint64) ([]WatchdogRow, error) {
 	return rows, nil
 }
 
-func runWatchdogPoint(b *workloads.Benchmark, p workloads.Params, wd uint64) (WatchdogRow, error) {
+func runWatchdogPoint(batch *batchTable, b *workloads.Benchmark, p workloads.Params, wd uint64) (WatchdogRow, error) {
 	in := b.Inputs(p, 1)
 	precise, err := PreciseVariant(b, p).Compile()
 	if err != nil {
@@ -171,7 +174,7 @@ func runWatchdogPoint(b *workloads.Benchmark, p workloads.Params, wd uint64) (Wa
 	}
 	cfg := core.DefaultConfig()
 	cfg.Clank.WatchdogCycles = wd
-	sys := core.NewSystem(cfg, wifiTrace(5))
+	sys := core.NewSystem(cfg, batch.trace(5))
 	if err := sys.Load(precise); err != nil {
 		return WatchdogRow{}, err
 	}
@@ -234,6 +237,7 @@ type CapacitorRow struct {
 func CapacitorSweep(proto Protocol, uFs []float64) ([]CapacitorRow, error) {
 	b := workloads.Var()
 	p := proto.params(b)
+	batch := &batchTable{}
 	var jobs []sweep.Job
 	for _, uf := range uFs {
 		jobs = append(jobs, sweep.Job{
@@ -247,7 +251,7 @@ func CapacitorSweep(proto Protocol, uFs []float64) ([]CapacitorRow, error) {
 				InputSeed:  1,
 				Params:     specParams(p, "capacitance_uF", fmt.Sprint(uf)),
 			},
-			Run: func() (any, error) { return runCapacitorPoint(b, p, uf) },
+			Run: func() (any, error) { return runCapacitorPoint(batch, b, p, uf) },
 		})
 	}
 	rows, err := runSweep[CapacitorRow](proto.runner(), jobs)
@@ -257,7 +261,7 @@ func CapacitorSweep(proto Protocol, uFs []float64) ([]CapacitorRow, error) {
 	return rows, nil
 }
 
-func runCapacitorPoint(b *workloads.Benchmark, p workloads.Params, uf float64) (CapacitorRow, error) {
+func runCapacitorPoint(batch *batchTable, b *workloads.Benchmark, p workloads.Params, uf float64) (CapacitorRow, error) {
 	in := b.Inputs(p, 1)
 	golden := b.Golden(p, in)
 	precise, err := PreciseVariant(b, p).Compile()
@@ -271,7 +275,7 @@ func runCapacitorPoint(b *workloads.Benchmark, p workloads.Params, uf float64) (
 	cfg := core.DefaultConfig()
 	cfg.Device.CapacitanceF = uf * 1e-6
 	run := func(c *compiler.Compiled) (uint64, []float64, error) {
-		sys := core.NewSystem(cfg, wifiTrace(5))
+		sys := core.NewSystem(cfg, batch.trace(5))
 		if err := sys.Load(c); err != nil {
 			return 0, nil, err
 		}
@@ -427,6 +431,7 @@ func (r ConsistencyRow) SimulatedCycles() uint64 { return r.WallCycles }
 // rollback. Clank pays checkpoints on every read-modify-write; the undo
 // log pays per-first-touch logging plus rollback work after each outage.
 func ConsistencySweep(proto Protocol) ([]ConsistencyRow, error) {
+	batch := &batchTable{}
 	var jobs []sweep.Job
 	for _, b := range []*workloads.Benchmark{workloads.Var(), workloads.MatAdd()} {
 		p := proto.params(b)
@@ -442,7 +447,7 @@ func ConsistencySweep(proto Protocol) ([]ConsistencyRow, error) {
 					InputSeed:  1,
 					Params:     specParams(p),
 				},
-				Run: func() (any, error) { return runConsistencyPoint(b, p, proc) },
+				Run: func() (any, error) { return runConsistencyPoint(batch, b, p, proc) },
 			})
 		}
 	}
@@ -453,7 +458,7 @@ func ConsistencySweep(proto Protocol) ([]ConsistencyRow, error) {
 	return rows, nil
 }
 
-func runConsistencyPoint(b *workloads.Benchmark, p workloads.Params, proc core.Processor) (ConsistencyRow, error) {
+func runConsistencyPoint(batch *batchTable, b *workloads.Benchmark, p workloads.Params, proc core.Processor) (ConsistencyRow, error) {
 	in := b.Inputs(p, 1)
 	precise, err := PreciseVariant(b, p).Compile()
 	if err != nil {
@@ -464,7 +469,7 @@ func runConsistencyPoint(b *workloads.Benchmark, p workloads.Params, proc core.P
 		return ConsistencyRow{}, err
 	}
 	run := func(c *compiler.Compiled) (uint64, uint64, error) {
-		sys := intermittentSystem(proc, wifiTrace(33))
+		sys := intermittentSystem(proc, batch.trace(33))
 		if err := sys.Load(c); err != nil {
 			return 0, 0, err
 		}

@@ -91,7 +91,8 @@ func runEarliestOutput(b *workloads.Benchmark, p workloads.Params, v Variant) (e
 	if err != nil {
 		return earliestCell{}, err
 	}
-	nr, err := outputNRMSE(c, m, b.Output, golden)
+	var out []float64
+	nr, err := outputNRMSE(&out, c, m, b.Output, golden)
 	if err != nil {
 		return earliestCell{}, err
 	}
@@ -291,10 +292,11 @@ func traceQuality(c *compiler.Compiled, b *workloads.Benchmark, in map[string][]
 		period = 1
 	}
 	var sampleErr error
+	var out []float64 // every sample of the curve decodes into one buffer
 	res, m, err := runContinuous(c, in, contOptions{
 		sampleEvery: period,
 		sample: func(cycles uint64, mm *mem.Memory) {
-			nr, err := outputNRMSE(c, mm, b.Output, golden)
+			nr, err := outputNRMSE(&out, c, mm, b.Output, golden)
 			if err != nil {
 				sampleErr = err
 				return
@@ -309,7 +311,7 @@ func traceQuality(c *compiler.Compiled, b *workloads.Benchmark, in map[string][]
 		return QualityCurve{}, sampleErr
 	}
 	curve.FinalCycles = res.Cycles
-	final, err := outputNRMSE(c, m, b.Output, golden)
+	final, err := outputNRMSE(&out, c, m, b.Output, golden)
 	if err != nil {
 		return QualityCurve{}, err
 	}
@@ -466,7 +468,7 @@ func runFig17Set(b *workloads.Benchmark, p workloads.Params, inputSeed int64) (f
 	if err != nil {
 		return fig17Cell{}, err
 	}
-	got, err := c.Layout.OutputValues(m, b.Output)
+	got, err := c.Layout.AppendOutputValues(nil, m, b.Output)
 	if err != nil {
 		return fig17Cell{}, err
 	}

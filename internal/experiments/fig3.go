@@ -75,6 +75,7 @@ func Figure3(seed int64) (Fig3Result, error) {
 	dipsSampled := map[int]bool{}
 	dipsAnytime := map[int]bool{}
 
+	var got []float64 // every reading's output decodes into one buffer
 	for i, r := range trace {
 		raw := workloads.GlucoseRawWindow(r, seed+int64(i))
 		in := map[string][]int64{"RAW": raw, "W": weights}
@@ -102,7 +103,7 @@ func Figure3(seed int64) (Fig3Result, error) {
 		if err != nil {
 			return Fig3Result{}, err
 		}
-		got, err := anytime.Layout.OutputValues(m, "OUT")
+		got, err = anytime.Layout.AppendOutputValues(got[:0], m, "OUT")
 		if err != nil {
 			return Fig3Result{}, err
 		}

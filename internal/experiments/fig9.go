@@ -66,11 +66,12 @@ func RuntimeQuality(b *workloads.Benchmark, p workloads.Params, bits int, sample
 		period = 1
 	}
 	var sampleErr error
+	var out []float64 // every sample of the curve decodes into one buffer
 	res, m, err := runContinuous(c, in, contOptions{
 		sampleEvery: period,
 		sample: func(cycles uint64, mm *mem.Memory) {
 			// The memory is live during the run; score a snapshot.
-			nr, err := outputNRMSE(c, mm, b.Output, golden)
+			nr, err := outputNRMSE(&out, c, mm, b.Output, golden)
 			if err != nil {
 				sampleErr = err
 				return
@@ -88,7 +89,7 @@ func RuntimeQuality(b *workloads.Benchmark, p workloads.Params, bits int, sample
 		return QualityCurve{}, sampleErr
 	}
 	curve.FinalCycles = res.Cycles
-	final, err := outputNRMSE(c, m, b.Output, golden)
+	final, err := outputNRMSE(&out, c, m, b.Output, golden)
 	if err != nil {
 		return QualityCurve{}, err
 	}

@@ -68,7 +68,7 @@ func runAtGeometry(t *testing.T, c *compiler.Compiled, in map[string][]int64, ou
 		r.cycles += res.Cycles
 	}
 	r.instrs = cp.Stats.Instructions
-	if r.out, err = c.Layout.OutputValues(m, output); err != nil {
+	if r.out, err = c.Layout.AppendOutputValues(nil, m, output); err != nil {
 		t.Fatal(err)
 	}
 	return r

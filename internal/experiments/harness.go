@@ -203,11 +203,14 @@ func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOpti
 }
 
 // outputNRMSE scores the current output of a memory against golden values.
-func outputNRMSE(c *compiler.Compiled, m *mem.Memory, output string, golden []float64) (float64, error) {
-	got, err := c.Layout.OutputValues(m, output)
+// The output decodes into *buf, which a caller scoring many samples keeps
+// across them, and stays there for the caller to read.
+func outputNRMSE(buf *[]float64, c *compiler.Compiled, m *mem.Memory, output string, golden []float64) (float64, error) {
+	got, err := c.Layout.AppendOutputValues((*buf)[:0], m, output)
 	if err != nil {
 		return 0, err
 	}
+	*buf = got
 	return quality.NRMSE(got, golden), nil
 }
 
@@ -233,7 +236,9 @@ func intermittentSystem(proc core.Processor, trace *energy.Trace) *core.System {
 	return core.NewSystem(cfg, trace)
 }
 
-// wifiTrace is the seeded synthetic Wi-Fi harvest trace.
-func wifiTrace(seed int64) *energy.Trace {
+// wifiTrace builds the seeded synthetic Wi-Fi harvest trace. Studies take
+// it from their batch's table (batchTable.trace); tests swap it to count
+// the traces a batch builds.
+var wifiTrace = func(seed int64) *energy.Trace {
 	return energy.SyntheticWiFiTrace(seed, energy.DefaultTraceConfig())
 }

@@ -52,11 +52,8 @@ func Figure2(proto Protocol, outDir string) (Fig2Result, error) {
 		Budget:         wnRun.Cycles,
 		BudgetFraction: float64(wnRun.Cycles) / float64(full.Cycles),
 	}
-	if res.WNNRMSE, err = outputNRMSE(wn, m, b.Output, golden); err != nil {
-		return Fig2Result{}, err
-	}
-	wnImg, err := wn.Layout.OutputValues(m, b.Output)
-	if err != nil {
+	var wnImg, half []float64 // the scored outputs are the written images
+	if res.WNNRMSE, err = outputNRMSE(&wnImg, wn, m, b.Output, golden); err != nil {
 		return Fig2Result{}, err
 	}
 
@@ -66,11 +63,7 @@ func Figure2(proto Protocol, outDir string) (Fig2Result, error) {
 	if err != nil {
 		return Fig2Result{}, err
 	}
-	if res.BaselineNRMSE, err = outputNRMSE(precise, m, b.Output, golden); err != nil {
-		return Fig2Result{}, err
-	}
-	half, err := precise.Layout.OutputValues(m, b.Output)
-	if err != nil {
+	if res.BaselineNRMSE, err = outputNRMSE(&half, precise, m, b.Output, golden); err != nil {
 		return Fig2Result{}, err
 	}
 	imgs["fig2b_baseline_budget"] = half
@@ -116,6 +109,7 @@ func Figure16(proto Protocol, outDir string) (Fig16Result, error) {
 		return Fig16Result{}, err
 	}
 	var res Fig16Result
+	var px []float64 // each build's output decodes into one buffer
 	for _, bits := range []int{1, 2, 3, 4} {
 		c, err := WNVariant(b, p, bits).Compile()
 		if err != nil {
@@ -125,7 +119,7 @@ func Figure16(proto Protocol, outDir string) (Fig16Result, error) {
 		if err != nil {
 			return Fig16Result{}, err
 		}
-		nr, err := outputNRMSE(c, m, b.Output, golden)
+		nr, err := outputNRMSE(&px, c, m, b.Output, golden)
 		if err != nil {
 			return Fig16Result{}, err
 		}
@@ -133,10 +127,6 @@ func Figure16(proto Protocol, outDir string) (Fig16Result, error) {
 			Bits: bits, Speedup: float64(base) / float64(run.Cycles), NRMSE: nr, Cycles: run.Cycles,
 		})
 		if outDir != "" {
-			px, err := c.Layout.OutputValues(m, b.Output)
-			if err != nil {
-				return Fig16Result{}, err
-			}
 			path, err := writePGM(outDir, fmt.Sprintf("fig16_%dbit", bits), px, p.ImgW, p.ImgH)
 			if err != nil {
 				return Fig16Result{}, err

@@ -139,7 +139,7 @@ func runNNCell(b *workloads.Benchmark, p workloads.Params, bits int, inputSeed i
 	if err != nil {
 		return nnCell{}, err
 	}
-	got, err := c.Layout.OutputValues(m, b.Output)
+	got, err := c.Layout.AppendOutputValues(nil, m, b.Output)
 	if err != nil {
 		return nnCell{}, err
 	}

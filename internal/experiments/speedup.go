@@ -44,15 +44,16 @@ func (c speedupCell) SimulatedCycles() uint64 { return c.WNCycles + c.PreciseCyc
 //
 // Every (benchmark, bits, trace, invocation) cell is an independent job;
 // the whole study, both bit widths, is submitted to the sweep engine as one
-// batch, so all cells run concurrently and the 8- and 4-bit cells of a
-// (benchmark, trace, invocation) share one precise baseline.
+// batch, so all cells run concurrently, the 8- and 4-bit cells of a
+// (benchmark, trace, invocation) share one precise baseline, and the cells
+// of a trace seed share one trace.
 func SpeedupStudy(proc core.Processor, proto Protocol) ([]SpeedupRow, error) {
 	type group struct {
 		b    *workloads.Benchmark
 		bits int
 		n    int
 	}
-	base := &preciseTable{}
+	batch := &batchTable{}
 	var jobs []sweep.Job
 	var groups []group
 	for _, b := range workloads.All() {
@@ -60,7 +61,7 @@ func SpeedupStudy(proc core.Processor, proto Protocol) ([]SpeedupRow, error) {
 		for _, bits := range []int{8, 4} {
 			specs := speedupSpecs(proc, b, p, bits, proto)
 			for _, s := range specs {
-				jobs = append(jobs, speedupJob(base, s, proc, b, p, bits))
+				jobs = append(jobs, speedupJob(batch, s, proc, b, p, bits))
 			}
 			groups = append(groups, group{b, bits, len(specs)})
 		}
@@ -106,12 +107,12 @@ func speedupSpecs(proc core.Processor, b *workloads.Benchmark, p workloads.Param
 }
 
 // speedupJob is the job of one speedup cell: s names the cell, and the
-// typed values it was built from run it. The cell takes its precise
-// baseline from base, which the jobs of one batch share.
-func speedupJob(base *preciseTable, s sweep.Spec, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) sweep.Job {
+// typed values it was built from run it. The cell takes its trace and
+// precise baseline from batch, which the jobs of one batch share.
+func speedupJob(batch *batchTable, s sweep.Spec, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) sweep.Job {
 	key := baselineKey(s)
 	return sweep.Job{Spec: s, Run: func() (any, error) {
-		return runSpeedupCell(base, key, proc, b, p, bits)
+		return runSpeedupCell(batch, key, proc, b, p, bits)
 	}}
 }
 
@@ -120,12 +121,12 @@ func speedupJob(base *preciseTable, s sweep.Spec, proc core.Processor, b *worklo
 // spec. It exists only for bench/wnperf, whose paper-scale Figure 10/11
 // round writes its cells as specs; every study builds its jobs directly.
 // Each job carries its spec unchanged. The batch's jobs share one table of
-// precise baselines, so another call simulates its baselines afresh.
+// traces and precise baselines, so another call builds them afresh.
 func ResolveSpecs(specs []sweep.Spec) ([]sweep.Job, error) {
-	base := &preciseTable{}
+	batch := &batchTable{}
 	jobs := make([]sweep.Job, len(specs))
 	for i, s := range specs {
-		j, err := decodeSpeedupSpec(base, s)
+		j, err := decodeSpeedupSpec(batch, s)
 		if err != nil {
 			return nil, fmt.Errorf("spec %d: experiments: %s spec: %w", i, s.Experiment, err)
 		}
@@ -137,7 +138,7 @@ func ResolveSpecs(specs []sweep.Spec) ([]sweep.Job, error) {
 // decodeSpeedupSpec validates one speedup spec and builds its job. A spec
 // whose redundant variant label disagrees with its fields is rejected: it
 // would poison shared caches with mislabeled results.
-func decodeSpeedupSpec(base *preciseTable, s sweep.Spec) (sweep.Job, error) {
+func decodeSpeedupSpec(batch *batchTable, s sweep.Spec) (sweep.Job, error) {
 	if s.Experiment != "speedup" {
 		return sweep.Job{}, fmt.Errorf("unresolvable experiment %q (only speedup specs decode)", s.Experiment)
 	}
@@ -167,7 +168,7 @@ func decodeSpeedupSpec(base *preciseTable, s sweep.Spec) (sweep.Job, error) {
 	if want := WNVariant(b, p, bits).String(); s.Variant != "" && s.Variant != want {
 		return sweep.Job{}, fmt.Errorf("variant %q does not match spec fields (%q)", s.Variant, want)
 	}
-	return speedupJob(base, s, proc, b, p, bits), nil
+	return speedupJob(batch, s, proc, b, p, bits), nil
 }
 
 // parseProcessor inverts core.Processor.String.
@@ -199,38 +200,53 @@ func baselineKey(s sweep.Spec) preciseKey {
 	}
 }
 
-// preciseTable shares precise baselines among the speedup cells of one
-// batch, and lives only as long as that batch's jobs. The first cell that
-// needs a key simulates it; the others reuse the result, error included,
-// or wait for it while it is still running.
-type preciseTable struct {
-	mu      sync.Mutex
-	entries map[preciseKey]*preciseEntry
+// batchTable shares what the cells of one batch have in common, and lives
+// only as long as that batch's jobs: harvest traces by seed, and precise
+// baselines of speedup cells. The first cell that needs an entry builds it;
+// the others reuse it, error included, or wait for it while it is still
+// being built. A waiting caller never waits longer than building the entry
+// itself would take, and the builder waits on nothing, so sharing cannot
+// deadlock.
+type batchTable struct {
+	mu        sync.Mutex
+	traces    map[int64]*batchEntry[*energy.Trace]
+	baselines map[preciseKey]*batchEntry[uint64]
 }
 
-type preciseEntry struct {
-	once   sync.Once
-	cycles uint64
-	err    error
+type batchEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// shared returns the entry of key in *entries, calling build if no cell of
+// t's batch has yet.
+func shared[K comparable, V any](t *batchTable, entries *map[K]*batchEntry[V], key K, build func() (V, error)) (V, error) {
+	t.mu.Lock()
+	e := (*entries)[key]
+	if e == nil {
+		if *entries == nil {
+			*entries = make(map[K]*batchEntry[V])
+		}
+		e = new(batchEntry[V])
+		(*entries)[key] = e
+	}
+	t.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
+}
+
+// trace returns the seeded Wi-Fi harvest trace of the batch. Supplies only
+// read a trace, so every device of the batch may run on it.
+func (t *batchTable) trace(seed int64) *energy.Trace {
+	tr, _ := shared(t, &t.traces, seed, func() (*energy.Trace, error) { return wifiTrace(seed), nil })
+	return tr
 }
 
 // cycles returns the precise cycle count of key, calling sim if no cell of
-// the batch has yet. A waiting caller never waits longer than calling sim
-// itself would take, and the caller running sim waits on nothing, so
-// sharing cannot deadlock.
-func (t *preciseTable) cycles(key preciseKey, sim func() (uint64, error)) (uint64, error) {
-	t.mu.Lock()
-	e := t.entries[key]
-	if e == nil {
-		if t.entries == nil {
-			t.entries = make(map[preciseKey]*preciseEntry)
-		}
-		e = new(preciseEntry)
-		t.entries[key] = e
-	}
-	t.mu.Unlock()
-	e.once.Do(func() { e.cycles, e.err = simulateBaseline(key, sim) })
-	return e.cycles, e.err
+// the batch has yet.
+func (t *batchTable) cycles(key preciseKey, sim func() (uint64, error)) (uint64, error) {
+	return shared(t, &t.baselines, key, func() (uint64, error) { return simulateBaseline(key, sim) })
 }
 
 // simulateBaseline runs the simulation of one precise baseline. Tests swap
@@ -238,18 +254,18 @@ func (t *preciseTable) cycles(key preciseKey, sim func() (uint64, error)) (uint6
 var simulateBaseline = func(_ preciseKey, sim func() (uint64, error)) (uint64, error) { return sim() }
 
 // runSpeedupCell simulates one cell: the WN build on the seeded trace and
-// input, then the precise build on the same trace and input, which it takes
-// from the batch's baseline table (simulating it there if it is the first
-// cell of the batch to need it). It compiles its own binaries so cells can
-// run on any worker.
-func runSpeedupCell(base *preciseTable, key preciseKey, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) (speedupCell, error) {
+// input, then the precise build on the same trace and input. It takes the
+// trace and the precise result from the batch's table, building them there
+// if it is the first cell of the batch to need them. It compiles its own
+// binaries so cells can run on any worker.
+func runSpeedupCell(batch *batchTable, key preciseKey, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) (speedupCell, error) {
 	wn, err := WNVariant(b, p, bits).Compile()
 	if err != nil {
 		return speedupCell{}, err
 	}
 	in := b.Inputs(p, key.inputSeed)
 	golden := b.Golden(p, in)
-	trace := wifiTrace(key.traceSeed)
+	trace := batch.trace(key.traceSeed)
 
 	wnSys := intermittentSystem(proc, trace)
 	if err := wnSys.Load(wn); err != nil {
@@ -264,7 +280,7 @@ func runSpeedupCell(base *preciseTable, key preciseKey, proc core.Processor, b *
 		return speedupCell{}, err
 	}
 
-	preciseCycles, err := base.cycles(key, func() (uint64, error) {
+	preciseCycles, err := batch.cycles(key, func() (uint64, error) {
 		return simulatePrecise(proc, b, p, trace, in)
 	})
 	if err != nil {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"whatsnext/internal/core"
+	"whatsnext/internal/energy"
 	"whatsnext/internal/sweep"
 	"whatsnext/internal/workloads"
 )
@@ -122,6 +125,91 @@ func TestSpeedupBatchSimulatesEachBaselineOnce(t *testing.T) {
 				t.Errorf("batch %d: baseline %+v simulated %d times in total, want %d", round, k, got[k], round)
 			}
 		}
+	}
+}
+
+// swapTraces wraps wifiTrace for the test and returns a function that
+// reports the traces built so far, by seed.
+func swapTraces(t *testing.T) func() map[int64][]*energy.Trace {
+	t.Helper()
+	var mu sync.Mutex
+	built := map[int64][]*energy.Trace{}
+	orig := wifiTrace
+	wifiTrace = func(seed int64) *energy.Trace {
+		tr := orig(seed)
+		mu.Lock()
+		built[seed] = append(built[seed], tr)
+		mu.Unlock()
+		return tr
+	}
+	t.Cleanup(func() { wifiTrace = orig })
+	return func() map[int64][]*energy.Trace {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(built)
+	}
+}
+
+// TestBatchBuildsEachTraceOnce: a SpeedupStudy batch and a ResolveSpecs
+// batch, each on two workers, build each of their trace seeds exactly
+// once, and every trace their cells shared still equals a fresh build of
+// its seed, sample for sample.
+func TestBatchBuildsEachTraceOnce(t *testing.T) {
+	proto := Protocol{Traces: 2, Invocations: 1}
+	seedsOf := func(specs []sweep.Spec) map[int64]bool {
+		seeds := map[int64]bool{}
+		for _, s := range specs {
+			seeds[s.TraceSeed] = true
+		}
+		return seeds
+	}
+	specs := baselineBatch()
+	batches := []struct {
+		name  string
+		seeds map[int64]bool
+		run   func(sweep.Runner) error
+	}{
+		{"SpeedupStudy", seedsOf(speedupSpecs(core.ProcClank, workloads.Var(), workloads.Var().ScaledParams(), 8, proto)),
+			func(r sweep.Runner) error {
+				proto := proto
+				proto.Runner = r
+				_, err := SpeedupStudy(core.ProcClank, proto)
+				return err
+			}},
+		{"ResolveSpecs", seedsOf(specs), func(r sweep.Runner) error {
+			jobs, err := ResolveSpecs(specs)
+			if err != nil {
+				return err
+			}
+			_, err = r.Run(jobs)
+			return err
+		}},
+	}
+	for _, batch := range batches {
+		t.Run(batch.name, func(t *testing.T) {
+			built := swapTraces(t)
+			if err := batch.run(sweep.New(sweep.Options{Workers: 2})); err != nil {
+				t.Fatal(err)
+			}
+			got := built()
+			if len(got) != len(batch.seeds) {
+				t.Errorf("built traces of %d seeds, want %d", len(got), len(batch.seeds))
+			}
+			for seed, trs := range got {
+				if !batch.seeds[seed] {
+					t.Errorf("built a trace of seed %d, which no cell runs on", seed)
+					continue
+				}
+				if len(trs) != 1 {
+					t.Errorf("seed %d: built %d times, want once", seed, len(trs))
+					continue
+				}
+				fresh := energy.SyntheticWiFiTrace(seed, energy.DefaultTraceConfig())
+				if trs[0].SampleHz != fresh.SampleHz || !slices.Equal(trs[0].Power, fresh.Power) {
+					t.Errorf("seed %d: the shared trace differs from a fresh one after the batch", seed)
+				}
+			}
+		})
 	}
 }
 

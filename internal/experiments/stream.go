@@ -37,18 +37,20 @@ type StreamRow struct {
 // The study is two sweeps: one calibration cell per benchmark measures the
 // precise build's wall completion on the reference trace, then one stream
 // cell per (benchmark, build) replays the stream at the calibrated period,
-// which travels in the cell's spec.
+// which travels in the cell's spec. Every cell of both sweeps runs on one
+// shared reference trace.
 func StreamStudy(proto Protocol, arrivals int) ([]StreamRow, error) {
 	if arrivals <= 0 {
 		arrivals = 16
 	}
+	batch := &batchTable{}
 	benches := workloads.All()
 	calib := make([]sweep.Job, 0, len(benches))
 	for _, b := range benches {
 		p := proto.params(b)
 		calib = append(calib, sweep.Job{
 			Spec: streamSpec("fig1/calibrate", PreciseVariant(b, p), 1, specParams(p)),
-			Run:  func() (any, error) { return calibrateStream(b, p) },
+			Run:  func() (any, error) { return calibrateStream(batch, b, p) },
 		})
 	}
 	completion, err := runSweep[uint64](proto.runner(), calib)
@@ -68,7 +70,7 @@ func StreamStudy(proto Protocol, arrivals int) ([]StreamRow, error) {
 				Spec: streamSpec("fig1", cfg.v, streamInputSeed, specParams(p,
 					"arrivals", itoa(arrivals),
 					"period", strconv.FormatUint(period, 10))),
-				Run: func() (any, error) { return streamOne(cfg.v, cfg.name, period, arrivals) },
+				Run: func() (any, error) { return streamOne(batch, cfg.v, cfg.name, period, arrivals) },
 			})
 		}
 	}
@@ -101,12 +103,12 @@ func streamSpec(experiment string, v Variant, inputSeed int64, params map[string
 
 // calibrateStream measures the precise build's wall completion time, in
 // cycles, on the stream's reference trace.
-func calibrateStream(b *workloads.Benchmark, p workloads.Params) (uint64, error) {
+func calibrateStream(batch *batchTable, b *workloads.Benchmark, p workloads.Params) (uint64, error) {
 	precise, err := PreciseVariant(b, p).Compile()
 	if err != nil {
 		return 0, err
 	}
-	ref := intermittentSystem(core.ProcClank, wifiTrace(streamTraceSeed))
+	ref := intermittentSystem(core.ProcClank, batch.trace(streamTraceSeed))
 	if err := ref.Load(precise); err != nil {
 		return 0, err
 	}
@@ -117,13 +119,13 @@ func calibrateStream(b *workloads.Benchmark, p workloads.Params) (uint64, error)
 	return res.TotalCycles(), nil
 }
 
-func streamOne(v Variant, config string, period uint64, arrivals int) (StreamRow, error) {
+func streamOne(batch *batchTable, v Variant, config string, period uint64, arrivals int) (StreamRow, error) {
 	b, p := v.Bench, v.Params
 	c, err := v.Compile()
 	if err != nil {
 		return StreamRow{}, err
 	}
-	sys := intermittentSystem(core.ProcClank, wifiTrace(streamTraceSeed))
+	sys := intermittentSystem(core.ProcClank, batch.trace(streamTraceSeed))
 	if err := sys.Load(c); err != nil {
 		return StreamRow{}, err
 	}

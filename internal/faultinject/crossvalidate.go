@@ -115,7 +115,9 @@ func (r *CrossReport) String() string {
 // goldenWorld is one uninterrupted pure-CPU execution of the target
 // against one input world.
 type goldenWorld struct {
-	cycles, instrs uint64
+	// stats are the golden CPU's counters at halt; it starts fresh from
+	// core.NewDevice, so they count the whole run.
+	stats cpu.Stats
 	// m is the final memory, dirty-tracked since the target was loaded, so
 	// its Dirty extent covers every byte the run (and its setup) wrote.
 	m     *mem.Memory
@@ -137,7 +139,7 @@ func GoldenProgress(t Target, cfg Config) (maxGap, total uint64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return g.maxCommitGap, g.cycles, nil
+	return g.maxCommitGap, g.stats.Cycles, nil
 }
 
 // goldenGuard bounds a golden run when Config.Budget is zero.
@@ -181,7 +183,7 @@ func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, w
 	}
 	var gap uint64
 	for !c.Halted {
-		if g.cycles > bound {
+		if c.Stats.Cycles > bound {
 			return nil, fmt.Errorf("did not halt within %d cycles", bound)
 		}
 		if cfg.Budget == 0 && uint64(len(g.costs)) > recordCap {
@@ -190,7 +192,7 @@ func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, w
 		// cycles <= bound here; +1 lets the window cross the bound so an
 		// overrun is seen. A recording window is short enough for the cap
 		// check to run before it records much more than recordCap costs.
-		win := min(bound-g.cycles, math.MaxUint64-1) + 1
+		win := min(bound-c.Stats.Cycles, math.MaxUint64-1) + 1
 		if costs != nil {
 			win = min(win, recordCap)
 			if withPCs {
@@ -202,8 +204,6 @@ func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, w
 		if err != nil {
 			return nil, err
 		}
-		g.cycles += res.Cycles
-		g.instrs += res.Instructions
 		gap += res.Cycles
 		if res.Reason == cpu.StopSkim {
 			g.maxCommitGap = max(g.maxCommitGap, gap)
@@ -211,8 +211,9 @@ func goldenRun(t Target, cfg Config, setup func(*mem.Memory) error, withCosts, w
 		}
 	}
 	g.maxCommitGap = max(g.maxCommitGap, gap)
+	g.stats = c.Stats
 	if withCosts && costs == nil {
-		cfg.Budget = g.cycles
+		cfg.Budget = g.stats.Cycles
 		return goldenRun(t, cfg, setup, withCosts, withPCs)
 	}
 	return g, nil
@@ -278,12 +279,12 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 		}
 		worlds = append(worlds, world1)
 	}
-	cfg.Budget = cmp.Or(cfg.Budget, 4*world0.cycles+65536)
+	cfg.Budget = cmp.Or(cfg.Budget, 4*world0.stats.Cycles+65536)
 
 	rep := &CrossReport{
 		Target:       t.Name,
 		Policy:       cfg.Policy().Name(),
-		GoldenCycles: world0.cycles,
+		GoldenCycles: world0.stats.Cycles,
 		Worlds:       len(worlds),
 		MaxCommitGap: world0.maxCommitGap,
 	}
@@ -308,7 +309,7 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 		}
 		return false
 	}
-	selected := killPoints(world0.costs, world0.cycles, Schedule{Exhaustive: true})
+	selected := killPoints(world0.costs, world0.stats.Cycles, Schedule{Exhaustive: true})
 	if cfg.MaxPoints > 0 && len(selected) > cfg.MaxPoints {
 		// Keep every flagged-window boundary (they carry the witnesses),
 		// sample the certified remainder evenly. Each class stays in cycle

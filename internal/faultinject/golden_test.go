@@ -40,12 +40,12 @@ loop:
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.instrs <= 2*recordCap {
-			t.Fatalf("golden run of %d instructions is within twice the recording cap", got.instrs)
+		if got.stats.Instructions <= 2*recordCap {
+			t.Fatalf("golden run of %d instructions is within twice the recording cap", got.stats.Instructions)
 		}
-		if uint64(len(got.costs)) != got.instrs || !reflect.DeepEqual(got, want) {
+		if uint64(len(got.costs)) != got.stats.Instructions || !reflect.DeepEqual(got, want) {
 			t.Errorf("pcs %v: %d costs for %d instructions; default-guard run differs from the budgeted one",
-				pcs, len(got.costs), got.instrs)
+				pcs, len(got.costs), got.stats.Instructions)
 		}
 	}
 }

@@ -82,9 +82,9 @@ func TestCampaignStampsInstructionCounts(t *testing.T) {
 	for _, target := range stampTargets(t) {
 		cfg := Config{}
 		recorded, plain := recordedGolden(t, target, cfg)
-		if plain.cycles != recorded.cycles || plain.instrs != recorded.instrs || plain.costs != nil {
+		if plain.stats.Cycles != recorded.stats.Cycles || plain.stats.Instructions != recorded.stats.Instructions || plain.costs != nil {
 			t.Fatalf("%s: unrecorded golden run took %d cycles, %d instructions, %d costs; recorded %d, %d",
-				target.Name, plain.cycles, plain.instrs, len(plain.costs), recorded.cycles, recorded.instrs)
+				target.Name, plain.stats.Cycles, plain.stats.Instructions, len(plain.costs), recorded.stats.Cycles, recorded.stats.Instructions)
 		}
 		// starts holds the cycle each instruction starts at.
 		starts := make(map[uint64]bool, len(recorded.costs))
@@ -93,11 +93,11 @@ func TestCampaignStampsInstructionCounts(t *testing.T) {
 			starts[cum] = true
 			cum += uint64(co.Cycles)
 		}
-		counts := []int{7, int(plain.instrs) + 5}
-		if plain.cycles <= 4096 {
-			counts = append(counts, int(plain.cycles)-1)
+		counts := []int{7, int(plain.stats.Instructions) + 5}
+		if plain.stats.Cycles <= 4096 {
+			counts = append(counts, int(plain.stats.Cycles)-1)
 		}
-		cfg.Budget = 4*plain.cycles + 65536
+		cfg.Budget = 4*plain.stats.Cycles + 65536
 		for _, policy := range stampPolicies {
 			cfg.Policy = policy
 			name := policy().Name()
@@ -113,7 +113,7 @@ func TestCampaignStampsInstructionCounts(t *testing.T) {
 						inside = true
 					}
 				}
-				above = above || uint64(n) > plain.instrs
+				above = above || uint64(n) > plain.stats.Instructions
 			}
 		}
 	}
@@ -136,7 +136,7 @@ var stampPolicies = []func() intermittent.Policy{
 // the cycle the strided schedule defines, k*cycles/(n+1).
 func stridedStamps(t *testing.T, target Target, cfg Config, golden *goldenWorld, n int) []killPoint {
 	t.Helper()
-	points := killPoints(nil, golden.cycles, Schedule{Points: n})
+	points := killPoints(nil, golden.stats.Cycles, Schedule{Points: n})
 	var got []killPoint
 	err := campaign(target, cfg, []*goldenWorld{golden}, nil, points, func(kill killPoint, _ *Divergence) {
 		got = append(got, kill)
@@ -148,7 +148,7 @@ func stridedStamps(t *testing.T, target Target, cfg Config, golden *goldenWorld,
 		t.Fatalf("%s: visited %d of %d points", target.Name, len(got), n)
 	}
 	for i, kill := range got {
-		if want := uint64(i+1) * golden.cycles / uint64(n+1); kill.cycle != want {
+		if want := uint64(i+1) * golden.stats.Cycles / uint64(n+1); kill.cycle != want {
 			t.Fatalf("%s, %d points: point %d at cycle %d, want %d", target.Name, n, i, kill.cycle, want)
 		}
 	}
@@ -182,9 +182,9 @@ func TestStridedKillPointsMatchDefinition(t *testing.T) {
 		target := targets[rng.Intn(len(targets))]
 		cfg := Config{}
 		recorded, plain := recordedGolden(t, target, cfg)
-		cfg.Budget = 4*plain.cycles + 65536
+		cfg.Budget = 4*plain.stats.Cycles + 65536
 		cfg.Policy = stampPolicies[rng.Intn(len(stampPolicies))]
-		n := rng.Intn(3*int(plain.instrs) + 4)
+		n := rng.Intn(3*int(plain.stats.Instructions) + 4)
 		for _, kill := range stridedStamps(t, target, cfg, plain, n) {
 			if want := instructionAt(recorded.costs, kill.cycle); kill.instr != want {
 				t.Fatalf("%s under %s, %d points: kill at cycle %d stamped %d instructions, want %d",
@@ -203,17 +203,17 @@ func TestStridedKillPointsOnBoundaries(t *testing.T) {
 	for _, target := range stampTargets(t) {
 		cfg := Config{}
 		recorded, plain := recordedGolden(t, target, cfg)
-		if plain.cycles > 4096 {
+		if plain.stats.Cycles > 4096 {
 			continue
 		}
-		cfg.Budget = 4*plain.cycles + 65536
+		cfg.Budget = 4*plain.stats.Cycles + 65536
 		cfg.Policy = stampPolicies[0]
 		// Points k*cycles/cycles land on cycles 1, 2, ..., cycles-1.
-		stamps := stridedStamps(t, target, cfg, plain, int(plain.cycles)-1)
+		stamps := stridedStamps(t, target, cfg, plain, int(plain.stats.Cycles)-1)
 		var start uint64
 		for i, co := range recorded.costs {
 			end := start + uint64(co.Cycles)
-			for c := max(start, 1); c < end && c < plain.cycles; c++ {
+			for c := max(start, 1); c < end && c < plain.stats.Cycles; c++ {
 				want := uint64(i + 1)
 				if c == start {
 					want = uint64(i)
@@ -245,7 +245,7 @@ func TestStridedKillPointsEmptyRun(t *testing.T) {
 	target := stampTargets(t)[0]
 	cfg := Config{}
 	_, plain := recordedGolden(t, target, cfg)
-	cfg.Budget = 4*plain.cycles + 65536
+	cfg.Budget = 4*plain.stats.Cycles + 65536
 	cfg.Policy = stampPolicies[0]
 	var visited int
 	err := campaign(target, cfg, []*goldenWorld{plain}, nil, pts, func(kill killPoint, _ *Divergence) {

@@ -27,18 +27,18 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
 	}
-	cfg.Budget = cmp.Or(cfg.Budget, 4*golden.cycles+65536)
+	cfg.Budget = cmp.Or(cfg.Budget, 4*golden.stats.Cycles+65536)
 
-	points := killPoints(golden.costs, golden.cycles, sched)
+	points := killPoints(golden.costs, golden.stats.Cycles, sched)
 	rep := &Report{
 		Target:             t.Name,
 		Policy:             cfg.Policy().Name(),
-		GoldenCycles:       golden.cycles,
-		GoldenInstructions: golden.instrs,
+		GoldenCycles:       golden.stats.Cycles,
+		GoldenInstructions: golden.stats.Instructions,
 		Points:             len(points),
 	}
 	if n := len(points); n > 0 {
-		rep.StrideCycles = golden.cycles / uint64(n)
+		rep.StrideCycles = golden.stats.Cycles / uint64(n)
 	}
 	err = inject(t, cfg, []*goldenWorld{golden}, nil, points, func(kill killPoint, d *Divergence) {
 		rep.Schedule = append(rep.Schedule, kill.cycle)
@@ -129,7 +129,7 @@ func campaign(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 		} else {
 			child = forkInto(trunk, child)
 		}
-		converged, err := finish(child, trunk, worlds[0].cycles, cfg.Budget, onKill)
+		converged, err := finish(child, trunk, worlds[0].stats.Cycles, cfg.Budget, onKill)
 		if err != nil {
 			return fmt.Errorf("kill at cycle %d: %w", kill.cycle, err)
 		}

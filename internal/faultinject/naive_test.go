@@ -49,9 +49,9 @@ func fromReset(t Target, cfg Config, worlds []*goldenWorld, inputWords []uint32,
 	if err != nil {
 		return fmt.Errorf("golden run on the policy device: %w", err)
 	}
-	if !ref.CPU.Halted || ref.CPU.Stats.Cycles != worlds[0].cycles {
+	if !ref.CPU.Halted || ref.CPU.Stats.Cycles != worlds[0].stats.Cycles {
 		return fmt.Errorf("golden run on the policy device: halted %v after %d cycles, bare CPU %d",
-			ref.CPU.Halted, ref.CPU.Stats.Cycles, worlds[0].cycles)
+			ref.CPU.Halted, ref.CPU.Stats.Cycles, worlds[0].stats.Cycles)
 	}
 	goldens := make([][]byte, len(worlds))
 	for i, w := range worlds {
@@ -185,8 +185,8 @@ func TestCampaignVisitsInCycleOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Budget = 4*golden.cycles + 65536
-	points := killPoints(golden.costs, golden.cycles, Schedule{Exhaustive: true})
+	cfg.Budget = 4*golden.stats.Cycles + 65536
+	points := killPoints(golden.costs, golden.stats.Cycles, Schedule{Exhaustive: true})
 	slices.Reverse(points)
 
 	worlds := []*goldenWorld{golden}

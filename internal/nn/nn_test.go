@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"whatsnext/internal/compiler"
@@ -164,12 +165,18 @@ func TestSentinelNeverCollides(t *testing.T) {
 		if _, err := sys.RunInput(in); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := c.Layout.Extract(sys.Mem, b.Output)
+		// A precise build stores the output row-major, one 32-bit word per
+		// element.
+		al, err := c.Layout.Of(b.Output)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range raw {
-			if uint32(v) == nn.Sentinel {
+		raw := make([]byte, 4*al.Array.Len)
+		if err := sys.Mem.ReadData(al.Base, raw); err != nil {
+			t.Fatal(err)
+		}
+		for i := range al.Array.Len {
+			if binary.LittleEndian.Uint32(raw[4*i:]) == nn.Sentinel {
 				t.Fatalf("%s: committed output[%d] equals the sentinel", b.Name, i)
 			}
 		}

@@ -6,12 +6,16 @@
 #
 # Guarded benchmarks (the `guarded` list below): the end-to-end Table I
 # benchmark in the root package, and the strided and exhaustive lockstep
-# campaigns in internal/faultinject. For each package the script builds the
-# test binary from the reference commit and from HEAD (each exported with
-# `git archive`, so uncommitted changes are not measured). Each benchmark
-# then runs with both binaries, with -test.benchmem, in five alternating
-# pairs (the side that runs first alternates). Two rules apply to every
-# guarded benchmark, and the script exits non-zero when either fails:
+# campaigns in internal/faultinject. Allocation-only benchmarks (the
+# `alloc_only` list): the root package's Figure 9 and Figure 10 studies,
+# whose quality samples and harvest traces are the bulk of a suite round's
+# allocations. For each package the script builds the test binary from the
+# reference commit and from HEAD (each exported with `git archive`, so
+# uncommitted changes are not measured). Each benchmark then runs with both
+# binaries, with -test.benchmem, in five alternating pairs (the side that
+# runs first alternates). Both rules below apply to every guarded
+# benchmark, the allocation rule alone to every allocation-only one, and
+# the script exits non-zero when any fails:
 #
 #   time         HEAD's fastest run is more than BENCH_TOLERANCE_PCT percent
 #                (default 10) above the reference's fastest run (the
@@ -28,11 +32,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# package, benchmark, -benchtime: one guarded benchmark per line.
+# package, benchmark, -benchtime: one benchmark per line.
 guarded=(
     ". BenchmarkTableI 20x"
     "./internal/faultinject BenchmarkStridedCampaign 20x"
     "./internal/faultinject BenchmarkExhaustiveLockstep 100x"
+)
+alloc_only=(
+    ". BenchmarkFigure9 3x"
+    ". BenchmarkFigure10 3x"
 )
 
 tolerance_pct="${BENCH_TOLERANCE_PCT:-10}"
@@ -51,7 +59,7 @@ binary() { echo "${1//[.\/]/_}.test"; }
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-pkgs=$(for g in "${guarded[@]}"; do echo "${g%% *}"; done | sort -u)
+pkgs=$(for g in "${guarded[@]}" "${alloc_only[@]}"; do echo "${g%% *}"; done | sort -u)
 for side in ref head; do
     sha=$ref_sha
     [[ $side == head ]] && sha=$head_sha
@@ -82,9 +90,15 @@ bench() {
 # smallest FILE COLUMN prints the smallest value in a column of FILE.
 smallest() { awk -v c="$2" '{print $c}' "$1" | sort -g | head -n 1; }
 
+# Each check is a benchmark line plus the rules it gets: "time" (and
+# allocations) or "alloc" alone.
+checks=()
+for g in "${guarded[@]}"; do checks+=("$g time"); done
+for g in "${alloc_only[@]}"; do checks+=("$g alloc"); done
+
 failed=0
-for g in "${guarded[@]}"; do
-    read -r pkg name benchtime <<<"$g"
+for g in "${checks[@]}"; do
+    read -r pkg name benchtime rules <<<"$g"
     : >"$tmp/ref.runs"
     : >"$tmp/head.runs"
     for ((i = 1; i <= pairs; i++)); do
@@ -101,19 +115,21 @@ for g in "${guarded[@]}"; do
         echo "bench-guard: $name pair $i: ref $(tail -n 1 "$tmp/ref.runs" | awk '{printf "%s ns/op %s B/op %s allocs/op", $1, $2, $3}'), head $(tail -n 1 "$tmp/head.runs" | awk '{printf "%s ns/op %s B/op %s allocs/op", $1, $2, $3}')"
     done
 
-    ref_ns=$(smallest "$tmp/ref.runs" 1)
-    head_ns=$(smallest "$tmp/head.runs" 1)
-    awk -v name="$name" -v head="$head_ns" -v ref="$ref_ns" -v tol="$tolerance_pct" 'BEGIN {
-        limit = ref * (1 + tol / 100)
-        ratio = head / ref
-        if (head > limit) {
-            printf "bench-guard: FAIL — %s: HEAD best %.0f ns/op exceeds %.0f ns/op (%.1f%% over the reference best %.0f, tolerance %s%%)\n",
-                name, head, limit, (ratio - 1) * 100, ref, tol
-            exit 1
-        }
-        printf "bench-guard: OK — %s: HEAD best %.0f ns/op is %.2fx of the reference best %.0f (limit %.0f ns/op)\n",
-            name, head, ratio, ref, limit
-    }' || failed=1
+    if [[ $rules == time ]]; then
+        ref_ns=$(smallest "$tmp/ref.runs" 1)
+        head_ns=$(smallest "$tmp/head.runs" 1)
+        awk -v name="$name" -v head="$head_ns" -v ref="$ref_ns" -v tol="$tolerance_pct" 'BEGIN {
+            limit = ref * (1 + tol / 100)
+            ratio = head / ref
+            if (head > limit) {
+                printf "bench-guard: FAIL — %s: HEAD best %.0f ns/op exceeds %.0f ns/op (%.1f%% over the reference best %.0f, tolerance %s%%)\n",
+                    name, head, limit, (ratio - 1) * 100, ref, tol
+                exit 1
+            }
+            printf "bench-guard: OK — %s: HEAD best %.0f ns/op is %.2fx of the reference best %.0f (limit %.0f ns/op)\n",
+                name, head, ratio, ref, limit
+        }' || failed=1
+    fi
     for col in "2 B/op" "3 allocs/op"; do
         read -r c unit <<<"$col"
         awk -v name="$name" -v unit="$unit" -v head="$(smallest "$tmp/head.runs" "$c")" -v ref="$(smallest "$tmp/ref.runs" "$c")" -v tol="$alloc_tolerance_pct" 'BEGIN {
