@@ -45,8 +45,9 @@ func (c speedupCell) SimulatedCycles() uint64 { return c.WNCycles + c.PreciseCyc
 // Every (benchmark, bits, trace, invocation) cell is an independent job;
 // the whole study, both bit widths, is submitted to the sweep engine as one
 // batch, so all cells run concurrently, the 8- and 4-bit cells of a
-// (benchmark, trace, invocation) share one precise baseline, and the cells
-// of a trace seed share one trace.
+// (benchmark, trace, invocation) share one precise baseline, the cells of
+// a (benchmark, invocation) share one input set, and the cells of a trace
+// seed share one trace.
 func SpeedupStudy(proc core.Processor, proto Protocol) ([]SpeedupRow, error) {
 	type group struct {
 		b    *workloads.Benchmark
@@ -107,8 +108,8 @@ func speedupSpecs(proc core.Processor, b *workloads.Benchmark, p workloads.Param
 }
 
 // speedupJob is the job of one speedup cell: s names the cell, and the
-// typed values it was built from run it. The cell takes its trace and
-// precise baseline from batch, which the jobs of one batch share.
+// typed values it was built from run it. The cell takes its trace, input
+// set and precise baseline from batch, which the jobs of one batch share.
 func speedupJob(batch *batchTable, s sweep.Spec, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) sweep.Job {
 	key := baselineKey(s)
 	return sweep.Job{Spec: s, Run: func() (any, error) {
@@ -121,7 +122,8 @@ func speedupJob(batch *batchTable, s sweep.Spec, proc core.Processor, b *workloa
 // spec. It exists only for bench/wnperf, whose paper-scale Figure 10/11
 // round writes its cells as specs; every study builds its jobs directly.
 // Each job carries its spec unchanged. The batch's jobs share one table of
-// traces and precise baselines, so another call builds them afresh.
+// traces, input sets and precise baselines, so another call builds them
+// afresh.
 func ResolveSpecs(specs []sweep.Spec) ([]sweep.Job, error) {
 	batch := &batchTable{}
 	jobs := make([]sweep.Job, len(specs))
@@ -181,35 +183,48 @@ func parseProcessor(name string) (core.Processor, error) {
 	return 0, fmt.Errorf("unknown processor %q (want clank, nvp or undolog)", name)
 }
 
+// inputKey names one input set of speedup cells: their kernel, workload
+// params and input seed.
+type inputKey struct {
+	kernel, workload string
+	inputSeed        int64
+}
+
 // preciseKey names one precise baseline: every field of a speedup spec
 // except bits, which only the WN build depends on.
 type preciseKey struct {
-	kernel, workload, processor, source string
-	traceSeed, inputSeed                int64
+	inputKey
+	processor, source string
+	traceSeed         int64
 }
 
 // baselineKey is the precise baseline a speedup spec's cell compares with.
 func baselineKey(s sweep.Spec) preciseKey {
 	return preciseKey{
-		kernel:    s.Kernel,
-		workload:  s.Params["workload"],
+		inputKey:  inputKey{kernel: s.Kernel, workload: s.Params["workload"], inputSeed: s.InputSeed},
 		processor: s.Processor,
 		source:    s.Source,
 		traceSeed: s.TraceSeed,
-		inputSeed: s.InputSeed,
 	}
 }
 
+// inputSet is a cell's inputs and the golden output they give.
+type inputSet struct {
+	in     map[string][]int64
+	golden []float64
+}
+
 // batchTable shares what the cells of one batch have in common, and lives
-// only as long as that batch's jobs: harvest traces by seed, and precise
-// baselines of speedup cells. The first cell that needs an entry builds it;
-// the others reuse it, error included, or wait for it while it is still
-// being built. A waiting caller never waits longer than building the entry
-// itself would take, and the builder waits on nothing, so sharing cannot
-// deadlock.
+// only as long as that batch's jobs: harvest traces by seed, and the input
+// sets and precise baselines of speedup cells. The first cell that needs
+// an entry builds it; the others reuse it, error included, or wait for it
+// while it is still being built. A waiting caller never waits longer than
+// building the entry itself would take, and the builder waits on nothing,
+// so sharing cannot deadlock.
 type batchTable struct {
 	mu        sync.Mutex
 	traces    map[int64]*batchEntry[*energy.Trace]
+	inputSets map[inputKey]*batchEntry[inputSet]
 	baselines map[preciseKey]*batchEntry[uint64]
 }
 
@@ -243,6 +258,21 @@ func (t *batchTable) trace(seed int64) *energy.Trace {
 	return tr
 }
 
+// inputs returns the input set of key, whose kernel and params are b and
+// p. Devices only read their inputs and quality only reads the golden
+// output, so every cell of the batch may use them.
+func (t *batchTable) inputs(key inputKey, b *workloads.Benchmark, p workloads.Params) inputSet {
+	set, _ := shared(t, &t.inputSets, key, func() (inputSet, error) { return buildInputs(b, p, key.inputSeed), nil })
+	return set
+}
+
+// buildInputs generates a benchmark's seeded inputs and their golden
+// output. Tests swap it to count the input sets a batch builds.
+var buildInputs = func(b *workloads.Benchmark, p workloads.Params, seed int64) inputSet {
+	in := b.Inputs(p, seed)
+	return inputSet{in: in, golden: b.Golden(p, in)}
+}
+
 // cycles returns the precise cycle count of key, calling sim if no cell of
 // the batch has yet.
 func (t *batchTable) cycles(key preciseKey, sim func() (uint64, error)) (uint64, error) {
@@ -255,23 +285,22 @@ var simulateBaseline = func(_ preciseKey, sim func() (uint64, error)) (uint64, e
 
 // runSpeedupCell simulates one cell: the WN build on the seeded trace and
 // input, then the precise build on the same trace and input. It takes the
-// trace and the precise result from the batch's table, building them there
-// if it is the first cell of the batch to need them. It compiles its own
-// binaries so cells can run on any worker.
+// trace, the input set and the precise result from the batch's table,
+// building them there if it is the first cell of the batch to need them.
+// It compiles its own binaries so cells can run on any worker.
 func runSpeedupCell(batch *batchTable, key preciseKey, proc core.Processor, b *workloads.Benchmark, p workloads.Params, bits int) (speedupCell, error) {
 	wn, err := WNVariant(b, p, bits).Compile()
 	if err != nil {
 		return speedupCell{}, err
 	}
-	in := b.Inputs(p, key.inputSeed)
-	golden := b.Golden(p, in)
+	set := batch.inputs(key.inputKey, b, p)
 	trace := batch.trace(key.traceSeed)
 
 	wnSys := intermittentSystem(proc, trace)
 	if err := wnSys.Load(wn); err != nil {
 		return speedupCell{}, err
 	}
-	wnRes, err := wnSys.RunInput(in)
+	wnRes, err := wnSys.RunInput(set.in)
 	if err != nil {
 		return speedupCell{}, err
 	}
@@ -281,7 +310,7 @@ func runSpeedupCell(batch *batchTable, key preciseKey, proc core.Processor, b *w
 	}
 
 	preciseCycles, err := batch.cycles(key, func() (uint64, error) {
-		return simulatePrecise(proc, b, p, trace, in)
+		return simulatePrecise(proc, b, p, trace, set.in)
 	})
 	if err != nil {
 		return speedupCell{}, err
@@ -289,7 +318,7 @@ func runSpeedupCell(batch *batchTable, key preciseKey, proc core.Processor, b *w
 	return speedupCell{
 		WNCycles:      wnRes.TotalCycles(),
 		PreciseCycles: preciseCycles,
-		NRMSE:         quality.NRMSE(wnOut, golden),
+		NRMSE:         quality.NRMSE(wnOut, set.golden),
 	}, nil
 }
 

@@ -150,33 +150,33 @@ func swapTraces(t *testing.T) func() map[int64][]*energy.Trace {
 	}
 }
 
-// TestBatchBuildsEachTraceOnce: a SpeedupStudy batch and a ResolveSpecs
-// batch, each on two workers, build each of their trace seeds exactly
-// once, and every trace their cells shared still equals a fresh build of
-// its seed, sample for sample.
-func TestBatchBuildsEachTraceOnce(t *testing.T) {
+// speedupBatch is one batch that shares a table: the specs of its cells
+// and a function that runs it on a runner.
+type speedupBatch struct {
+	name  string
+	specs []sweep.Spec
+	run   func(sweep.Runner) error
+}
+
+// speedupBatches are a SpeedupStudy batch on Clank and a ResolveSpecs
+// batch over both processors.
+func speedupBatches() []speedupBatch {
 	proto := Protocol{Traces: 2, Invocations: 1}
-	seedsOf := func(specs []sweep.Spec) map[int64]bool {
-		seeds := map[int64]bool{}
-		for _, s := range specs {
-			seeds[s.TraceSeed] = true
+	var study []sweep.Spec
+	for _, b := range workloads.All() {
+		for _, bits := range []int{8, 4} {
+			study = append(study, speedupSpecs(core.ProcClank, b, proto.params(b), bits, proto)...)
 		}
-		return seeds
 	}
 	specs := baselineBatch()
-	batches := []struct {
-		name  string
-		seeds map[int64]bool
-		run   func(sweep.Runner) error
-	}{
-		{"SpeedupStudy", seedsOf(speedupSpecs(core.ProcClank, workloads.Var(), workloads.Var().ScaledParams(), 8, proto)),
-			func(r sweep.Runner) error {
-				proto := proto
-				proto.Runner = r
-				_, err := SpeedupStudy(core.ProcClank, proto)
-				return err
-			}},
-		{"ResolveSpecs", seedsOf(specs), func(r sweep.Runner) error {
+	return []speedupBatch{
+		{"SpeedupStudy", study, func(r sweep.Runner) error {
+			proto := proto
+			proto.Runner = r
+			_, err := SpeedupStudy(core.ProcClank, proto)
+			return err
+		}},
+		{"ResolveSpecs", specs, func(r sweep.Runner) error {
 			jobs, err := ResolveSpecs(specs)
 			if err != nil {
 				return err
@@ -185,18 +185,29 @@ func TestBatchBuildsEachTraceOnce(t *testing.T) {
 			return err
 		}},
 	}
-	for _, batch := range batches {
+}
+
+// TestBatchBuildsEachTraceOnce: a SpeedupStudy batch and a ResolveSpecs
+// batch, each on two workers, build each of their trace seeds exactly
+// once, and every trace their cells shared still equals a fresh build of
+// its seed, sample for sample.
+func TestBatchBuildsEachTraceOnce(t *testing.T) {
+	for _, batch := range speedupBatches() {
 		t.Run(batch.name, func(t *testing.T) {
+			seeds := map[int64]bool{}
+			for _, s := range batch.specs {
+				seeds[s.TraceSeed] = true
+			}
 			built := swapTraces(t)
 			if err := batch.run(sweep.New(sweep.Options{Workers: 2})); err != nil {
 				t.Fatal(err)
 			}
 			got := built()
-			if len(got) != len(batch.seeds) {
-				t.Errorf("built traces of %d seeds, want %d", len(got), len(batch.seeds))
+			if len(got) != len(seeds) {
+				t.Errorf("built traces of %d seeds, want %d", len(got), len(seeds))
 			}
 			for seed, trs := range got {
-				if !batch.seeds[seed] {
+				if !seeds[seed] {
 					t.Errorf("built a trace of seed %d, which no cell runs on", seed)
 					continue
 				}
@@ -207,6 +218,82 @@ func TestBatchBuildsEachTraceOnce(t *testing.T) {
 				fresh := energy.SyntheticWiFiTrace(seed, energy.DefaultTraceConfig())
 				if trs[0].SampleHz != fresh.SampleHz || !slices.Equal(trs[0].Power, fresh.Power) {
 					t.Errorf("seed %d: the shared trace differs from a fresh one after the batch", seed)
+				}
+			}
+		})
+	}
+}
+
+// builtInputs is one call of buildInputs: its arguments and the set it
+// returned.
+type builtInputs struct {
+	b    *workloads.Benchmark
+	p    workloads.Params
+	seed int64
+	set  inputSet
+}
+
+// swapInputs wraps buildInputs for the test and returns a function that
+// reports the input sets built so far, by key.
+func swapInputs(t *testing.T) func() map[inputKey][]builtInputs {
+	t.Helper()
+	var mu sync.Mutex
+	built := map[inputKey][]builtInputs{}
+	orig := buildInputs
+	buildInputs = func(b *workloads.Benchmark, p workloads.Params, seed int64) inputSet {
+		set := orig(b, p, seed)
+		k := inputKey{kernel: b.Name, workload: encodeParams(p), inputSeed: seed}
+		mu.Lock()
+		built[k] = append(built[k], builtInputs{b, p, seed, set})
+		mu.Unlock()
+		return set
+	}
+	t.Cleanup(func() { buildInputs = orig })
+	return func() map[inputKey][]builtInputs {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(built)
+	}
+}
+
+// TestBatchBuildsEachInputSetOnce: a SpeedupStudy batch and a ResolveSpecs
+// batch, each on two workers, generate the inputs and golden output of each
+// (kernel, params, input seed) exactly once, and every set their cells
+// shared still equals a fresh one, element for element.
+func TestBatchBuildsEachInputSetOnce(t *testing.T) {
+	for _, batch := range speedupBatches() {
+		t.Run(batch.name, func(t *testing.T) {
+			want := map[inputKey]bool{}
+			for _, s := range batch.specs {
+				want[baselineKey(s).inputKey] = true
+			}
+			if len(want) >= len(batch.specs) {
+				t.Fatalf("%d input sets for %d cells: the batch shares none", len(want), len(batch.specs))
+			}
+			built := swapInputs(t)
+			if err := batch.run(sweep.New(sweep.Options{Workers: 2})); err != nil {
+				t.Fatal(err)
+			}
+			got := built()
+			if len(got) != len(want) {
+				t.Errorf("built %d input sets, want %d", len(got), len(want))
+			}
+			for k, calls := range got {
+				if !want[k] {
+					t.Errorf("built input set %+v, which no cell uses", k)
+					continue
+				}
+				if len(calls) != 1 {
+					t.Errorf("%+v: built %d times, want once", k, len(calls))
+					continue
+				}
+				c := calls[0]
+				in := c.b.Inputs(c.p, c.seed)
+				if !maps.EqualFunc(c.set.in, in, slices.Equal) {
+					t.Errorf("%+v: the shared inputs differ from fresh ones after the batch", k)
+				}
+				if !slices.Equal(c.set.golden, c.b.Golden(c.p, in)) {
+					t.Errorf("%+v: the shared golden output differs from a fresh one after the batch", k)
 				}
 			}
 		})

@@ -60,8 +60,8 @@ func newRunner(t Target, cfg Config) (*intermittent.Runner, error) {
 // (trunk writes since that sync), so copying just that union
 // re-synchronizes it in O(bytes actually touched). Tracking stamps are not
 // copied — the forced failure the caller applies next issues a
-// ClearAccessSets, and the spare's epoch only moves forward, so its stale
-// stamps can never read as current.
+// ClearAccessSets, and the spare's epoch only moves forward (its wrap
+// scrubs every stamp), so its stale stamps can never read as current.
 func forkInto(trunk, spare *intermittent.Runner) *intermittent.Runner {
 	ext := spare.Mem.Dirty().Union(trunk.Mem.Dirty())
 	spare.Mem.CopyDirty(trunk.Mem, ext)

@@ -121,6 +121,11 @@ type Runner struct {
 	pendingCycles uint32
 	pendingEnergy float64
 	skimTaken     bool
+
+	// costs is the per-instruction cost log of a window, allocated by the
+	// first RunToHalt at its final capacity and reused by every later call
+	// (see costLogCap). Fork does not share it.
+	costs []cpu.Cost
 }
 
 // NewRunner wires a device together and attaches the policy.
@@ -163,9 +168,14 @@ func (r *Runner) ForceFailure() {
 // margin, so only a window's final instruction can brown out. minBatch is
 // the smallest window worth entering the batched executor for; below it
 // the runner single-steps.
+//
+// costLogCap is the capacity of the runner's cost log. Every window's
+// budget is capped at costLogCap - cpu.MaxInstrCycles, so the log never
+// grows (see RunToHalt).
 const (
 	batchSlack = 64
 	minBatch   = 96
+	costLogCap = 1024
 )
 
 // RunToHalt executes until HALT, riding through power outages per the
@@ -175,9 +185,10 @@ const (
 // The CPU runs uninterrupted cpu.Run windows sized so that no checkpoint,
 // brown-out, or cycle-budget event can fall strictly inside a window, and
 // each window is charged once: Policy.BatchWindow advances the policy over
-// the whole window and Supply.SpendRun replays the recorded
-// per-instruction costs through the same float expressions, in the same
-// order, as charging the policy and calling Spend per instruction would.
+// the whole window and Supply.SpendRun replays the per-instruction costs
+// recorded in the runner's cost log through the same float expressions, in
+// the same order, as charging the policy and calling Spend per instruction
+// would.
 // Every energy draw, harvest charge, checkpoint and outage therefore lands
 // on the same instruction boundary with the same floating-point values as a
 // loop that steps and charges one instruction at a time; the tests keep
@@ -209,18 +220,20 @@ func (r *Runner) RunToHalt() (Result, error) {
 	}
 
 	cfg := r.Supply.Config()
-	costs := make([]cpu.Cost, 0, 4096)
+	if r.costs == nil {
+		r.costs = make([]cpu.Cost, 0, costLogCap)
+	}
 
-	// replay charges the executed window in costs, which ran cycles CPU
+	// replay charges the executed window in r.costs, which ran cycles CPU
 	// cycles, to the policy and the supply.
 	replay := func(cycles uint64, backup float64) error {
 		first, last := r.Policy.BatchWindow(cycles)
-		n, ok := r.Supply.SpendRun(costs, backup, first, last)
+		n, ok := r.Supply.SpendRun(r.costs, backup, first, last)
 		switch {
 		case ok:
 			return nil
-		case n < len(costs):
-			return fmt.Errorf("intermittent: internal error: brown-out at instruction %d of a %d-instruction window", n, len(costs))
+		case n < len(r.costs):
+			return fmt.Errorf("intermittent: internal error: brown-out at instruction %d of a %d-instruction window", n, len(r.costs))
 		}
 		return outage()
 	}
@@ -263,10 +276,16 @@ func (r *Runner) RunToHalt() (Result, error) {
 			if remaining := maxCycles - (r.Supply.CyclesOn - startOn); budget > remaining+1 {
 				budget = remaining + 1
 			}
+			// Cap the window so its costs fit the log: cpu.Run stops at the
+			// first instruction boundary that reaches the budget, so a
+			// window runs fewer than budget + cpu.MaxInstrCycles =
+			// costLogCap cycles, and every instruction costs at least one
+			// cycle, so it logs fewer than costLogCap entries.
+			budget = min(budget, costLogCap-cpu.MaxInstrCycles)
 		}
 		forceStep = false
 
-		costs = costs[:0]
+		r.costs = r.costs[:0]
 		if budget < minBatch {
 			// Too close to a brown-out or checkpoint boundary, or the next
 			// instruction needs the store hook: take one step so hooks and
@@ -275,17 +294,17 @@ func (r *Runner) RunToHalt() (Result, error) {
 			if err != nil {
 				return r.result(startOn, startOff, startOut, startDrawn, startInst), fmt.Errorf("intermittent: fault: %w", err)
 			}
-			costs = append(costs, cost)
+			r.costs = append(r.costs, cost)
 			if err := replay(uint64(cost.Cycles), backup); err != nil {
 				return r.result(startOn, startOff, startOut, startDrawn, startInst), err
 			}
 			continue
 		}
 
-		batch, err := r.CPU.Run(budget, &costs)
+		batch, err := r.CPU.Run(budget, &r.costs)
 		// Replay first: the instructions before a fault (or a StopStore /
 		// StopSkim boundary) executed and must pay energy in order.
-		if len(costs) > 0 {
+		if len(r.costs) > 0 {
 			if rerr := replay(batch.Cycles, backup); rerr != nil {
 				return r.result(startOn, startOff, startOut, startDrawn, startInst), rerr
 			}

@@ -74,9 +74,9 @@ type Memory struct {
 	// word of the FRAM data region. A word belongs to the current interval's
 	// read-first (resp. written) set iff its stamp equals epoch.
 	trackAccess bool
-	epoch       uint32
-	readEpoch   []uint32 // stamped when read before any write this epoch
-	writeEpoch  []uint32 // stamped when written this epoch
+	epoch       uint16
+	readEpoch   []uint16 // stamped when read before any write this epoch
+	writeEpoch  []uint16 // stamped when written this epoch
 
 	// Dirty-extent tracking for the lockstep fault injector: the byte
 	// extents written since the last ResetDirty, maintained O(1) per store.
@@ -200,7 +200,8 @@ func (m *Memory) noteDirty(addr uint32, size int) {
 // everywhere outside ext: the lockstep injector re-syncs its reusable fork
 // with it in O(|ext|). Tracking stamps are deliberately not copied — the
 // caller's next ClearAccessSets (every restore path issues one) makes any
-// stale stamps unreadable, because m's epoch only ever moves forward.
+// stale stamps unreadable, because m's epoch only moves forward and its
+// wrap scrubs every stamp.
 func (m *Memory) CopyDirty(src *Memory, ext DirtyExtent) {
 	if ext.DataLo < ext.DataHi {
 		copy(m.data[ext.DataLo:ext.DataHi], src.data[ext.DataLo:ext.DataHi])
@@ -247,8 +248,8 @@ func (m *Memory) Clone() *Memory {
 	n.trackAccess = m.trackAccess
 	n.epoch = m.epoch
 	if m.readEpoch != nil {
-		n.readEpoch = append([]uint32(nil), m.readEpoch...)
-		n.writeEpoch = append([]uint32(nil), m.writeEpoch...)
+		n.readEpoch = append([]uint16(nil), m.readEpoch...)
+		n.writeEpoch = append([]uint16(nil), m.writeEpoch...)
 	}
 	n.progLen = m.progLen
 	n.trackDirty = m.trackDirty
@@ -274,8 +275,8 @@ func (m *Memory) SetTracking(on bool) {
 	m.trackAccess = on
 	if on && m.readEpoch == nil {
 		words := (m.cfg.DataBytes + 3) / 4
-		m.readEpoch = make([]uint32, words)
-		m.writeEpoch = make([]uint32, words)
+		m.readEpoch = make([]uint16, words)
+		m.writeEpoch = make([]uint16, words)
 	}
 }
 
@@ -285,9 +286,10 @@ func (m *Memory) SetTracking(on bool) {
 func (m *Memory) ClearAccessSets() {
 	m.epoch++
 	if m.epoch == 0 {
-		// The epoch counter rolled over; stamps left behind by the previous
-		// era would alias freshly issued epochs. Scrub them once per 2^32
-		// checkpoints and restart at 1 (0 marks "never touched").
+		// The 16-bit epoch counter rolled over; stamps left behind by the
+		// previous era would alias freshly issued epochs. Scrub them once
+		// per 65,535 checkpoints and restart at 1 (0 marks "never
+		// touched").
 		clear(m.readEpoch)
 		clear(m.writeEpoch)
 		m.epoch = 1

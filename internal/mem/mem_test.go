@@ -219,7 +219,7 @@ func TestAccessErrorMessage(t *testing.T) {
 	}
 }
 
-// TestEpochRollover drives the epoch counter through its 2^32 wraparound.
+// TestEpochRollover drives the epoch counter through its 2^16 wraparound.
 // Stale stamps issued before the rollover must not alias freshly issued
 // epochs — ClearAccessSets scrubs both shadow arrays and restarts at 1.
 func TestEpochRollover(t *testing.T) {
@@ -236,7 +236,7 @@ func TestEpochRollover(t *testing.T) {
 	}
 
 	// Fast-forward to the last epoch and stamp a second word there.
-	m.epoch = ^uint32(0)
+	m.epoch = ^uint16(0)
 	if _, err := m.LoadWord(DataBase + 4); err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@
 # Guarded benchmarks (the `guarded` list below): the end-to-end Table I
 # benchmark in the root package, and the strided and exhaustive lockstep
 # campaigns in internal/faultinject. Allocation-only benchmarks (the
-# `alloc_only` list): the root package's Figure 9 and Figure 10 studies,
-# whose quality samples and harvest traces are the bulk of a suite round's
+# `alloc_only` list): every other benchmark the CI bench job runs, each
+# BenchmarkRunToHalt sub-benchmark on its own, plus the root package's
+# Figure 9 study, whose quality samples are a large share of a suite round's
 # allocations. For each package the script builds the test binary from the
 # reference commit and from HEAD (each exported with `git archive`, so
 # uncommitted changes are not measured). Each benchmark then runs with both
@@ -41,6 +42,20 @@ guarded=(
 alloc_only=(
     ". BenchmarkFigure9 3x"
     ". BenchmarkFigure10 3x"
+    ". BenchmarkFigure11 3x"
+    ". BenchmarkFaultStudy 3x"
+    "./internal/cpu BenchmarkSuperLoop 200x"
+    "./internal/cpu BenchmarkStepLoop 200x"
+    "./internal/cpu BenchmarkStep 1000000x"
+    "./internal/mem BenchmarkClankTracking 10000x"
+    "./internal/intermittent BenchmarkRunToHalt/clank 50x"
+    "./internal/intermittent BenchmarkRunToHalt/nvp 50x"
+    "./internal/intermittent BenchmarkRunToHalt/undolog 50x"
+    "./internal/intermittent BenchmarkRunToHalt/mul-loop 50x"
+    "./internal/faultinject BenchmarkExhaustiveNaive 5x"
+    "./internal/faultinject BenchmarkCrossValidate 5x"
+    "./internal/compiler BenchmarkLayoutInstall 1000x"
+    "./internal/compiler BenchmarkLayoutExtract 1000x"
 )
 
 tolerance_pct="${BENCH_TOLERANCE_PCT:-10}"
